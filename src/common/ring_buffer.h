@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -52,7 +53,7 @@ class RingBuffer {
   /// local VC is credit-starved).
   void push_front(T value) {
     if (size_ == buf_.size()) grow_to(next_capacity());
-    head_ = wrap(head_ + buf_.size() - 1);
+    head_ = static_cast<std::uint32_t>(wrap(head_ + buf_.size() - 1));
     buf_[head_] = std::move(value);
     ++size_;
   }
@@ -76,17 +77,19 @@ class RingBuffer {
 
   /// i-th entry counted from the front (0 = oldest).
   T& operator[](std::size_t i) noexcept {
-    RLFTNOC_CHECK(i < size_, "RingBuffer: index %zu past size %zu", i, size_);
+    RLFTNOC_CHECK(i < size_, "RingBuffer: index %zu past size %zu", i,
+                  static_cast<std::size_t>(size_));
     return buf_[wrap(head_ + i)];
   }
   const T& operator[](std::size_t i) const noexcept {
-    RLFTNOC_CHECK(i < size_, "RingBuffer: index %zu past size %zu", i, size_);
+    RLFTNOC_CHECK(i < size_, "RingBuffer: index %zu past size %zu", i,
+                  static_cast<std::size_t>(size_));
     return buf_[wrap(head_ + i)];
   }
 
   void pop_front() noexcept {
     RLFTNOC_CHECK(size_ > 0, "RingBuffer: pop_front() on empty buffer");
-    head_ = wrap(head_ + 1);
+    head_ = static_cast<std::uint32_t>(wrap(head_ + 1));
     --size_;
   }
 
@@ -122,12 +125,15 @@ class RingBuffer {
       ++kept;
     }
     const std::size_t removed = size_ - kept;
-    size_ = kept;
+    size_ = static_cast<std::uint32_t>(kept);
     return removed;
   }
 
  private:
   static constexpr std::size_t kInitialCapacity = 8;
+  /// 32-bit head/size keep a buffer at 32 bytes (a delay line, which also
+  /// carries its occupancy-byte pointer, at 48); indices stay below 2^32.
+  static constexpr std::size_t kMaxCapacity = std::size_t{1} << 31;
 
   static std::size_t round_up_pow2(std::size_t n) noexcept {
     std::size_t cap = kInitialCapacity;
@@ -144,6 +150,8 @@ class RingBuffer {
   std::size_t wrap(std::size_t i) const noexcept { return i & (buf_.size() - 1); }
 
   void grow_to(std::size_t cap) {
+    RLFTNOC_CHECK(cap <= kMaxCapacity, "RingBuffer: capacity %zu exceeds %zu", cap,
+                  kMaxCapacity);
     std::vector<T> grown(cap);
     for (std::size_t i = 0; i < size_; ++i)
       grown[i] = std::move(buf_[wrap(head_ + i)]);
@@ -152,8 +160,8 @@ class RingBuffer {
   }
 
   std::vector<T> buf_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
+  std::uint32_t head_ = 0;
+  std::uint32_t size_ = 0;
 };
 
 }  // namespace rlftnoc

@@ -1,5 +1,6 @@
 #include "noc/audit.h"
 
+#include <array>
 #include <map>
 #include <sstream>
 
@@ -546,7 +547,8 @@ void NetworkAuditor::audit_parallel_staging(
 }
 
 // ---------------------------------------------------------------------------
-// 7. Bitmask datapath: packed words re-derive from live router state.
+// 7. Bitmask datapath: packed words re-derive from live router state, and
+//    the stepper's lane-occupancy bytes and hot bits from live lanes / state.
 // ---------------------------------------------------------------------------
 void NetworkAuditor::audit_mask_consistency(
     const Network& net, std::vector<AuditViolation>& out) const {
@@ -627,6 +629,57 @@ void NetworkAuditor::audit_mask_consistency(
         word_mismatch(p, "credit-available", credit, r.credit_mask_[pi]);
       if (free != r.free_vc_mask_[pi])
         word_mismatch(p, "free-vc", free, r.free_vc_mask_[pi]);
+    }
+
+    // Lane-occupancy bytes, each against the lane it names.
+    const auto i = static_cast<std::size_t>(node);
+    const std::array<std::uint8_t, node_hot::kLanesPerNode>& lane_bytes =
+        net.lane_occ(node).b;
+    const auto check_byte = [&](Port p, const char* lane, std::size_t k,
+                                bool occupied) {
+      if (lane_bytes[k] == (occupied ? 1 : 0)) return;
+      std::ostringstream os;
+      os << lane << " occupancy byte " << k << " reads "
+         << static_cast<int>(lane_bytes[k]) << " but the lane is "
+         << (occupied ? "occupied" : "empty");
+      fail(p, os.str());
+    };
+    for (std::size_t pi = 0; pi < kMeshPorts.size(); ++pi) {
+      const Port p = kMeshPorts[pi];
+      const NodeId nb = net.topology().neighbor(node, p);
+      const bool in_flits =
+          nb != kInvalidNode &&
+          !net.out_ch_[net.link_index(nb, opposite(p))].flits.empty();
+      const ChannelPair& own = net.out_ch_[net.link_index(node, p)];
+      check_byte(p, "in-flit", node_hot::kInFlit + pi, in_flits);
+      check_byte(p, "out-credit", node_hot::kOutCredit + pi, !own.credits.empty());
+      check_byte(p, "out-ack", node_hot::kOutAck + pi, !own.acks.empty());
+    }
+    check_byte(Port::kLocal, "inj-flit", node_hot::kInjFlit,
+               !net.inj_[i].flits.empty());
+    check_byte(Port::kLocal, "ej-credit", node_hot::kEjCredit,
+               !net.ej_[i].credits.empty());
+    check_byte(Port::kLocal, "ej-flit", node_hot::kEjFlit,
+               !net.ej_[i].flits.empty());
+    check_byte(Port::kLocal, "inj-credit", node_hot::kInjCredit,
+               !net.inj_[i].credits.empty());
+
+    // Hot bits against the state they cache.
+    const std::uint8_t hot = net.node_hot_[i];
+    if (((hot & node_hot::kRouterQuiescent) != 0) != r.quiescent())
+      fail(Port::kLocal, std::string("hot byte router-quiescent bit is stale: "
+                                     "router is ") +
+                             (r.quiescent() ? "quiescent" : "busy"));
+    const bool ni_idle = net.ni(node).injection_idle();
+    if (((hot & node_hot::kNiInjectionIdle) != 0) != ni_idle)
+      fail(Port::kLocal, std::string("hot byte NI-injection-idle bit is stale: "
+                                     "NI injection is ") +
+                             (ni_idle ? "idle" : "busy"));
+    if ((hot & ~(node_hot::kRouterQuiescent | node_hot::kNiInjectionIdle)) != 0) {
+      std::ostringstream os;
+      os << "hot byte 0x" << std::hex << static_cast<int>(hot)
+         << " has bits outside the two defined flags";
+      fail(Port::kLocal, os.str());
     }
   }
 }

@@ -43,6 +43,12 @@
 //     words, credit-available and free-VC masks, the buffered-flit counter)
 //     re-derives exactly from the live FIFO / state / credit / allocation
 //     data it summarizes. A drifted word would silently change arbitration.
+//     The stepper's packed node state is held to the same standard: every
+//     lane-occupancy byte equals `!lane.empty()` for the live delay line it
+//     names (derived from the topology, not from the network's own lane
+//     index), and the two hot-byte bits equal Router::quiescent() and
+//     NetworkInterface::injection_idle(). A stale byte would skip a node
+//     with work or pop a lane out of order.
 //
 // Violations are reported with the offending cycle / router / port so a
 // failure in a million-cycle campaign points straight at the broken state.

@@ -5,6 +5,11 @@
 // order-independent: producers push entries stamped `deliver_at = now +
 // latency`, consumers only pop entries whose stamp has matured. Pushing and
 // popping within the same simulated cycle therefore never race.
+//
+// A lane may be bound to an external occupancy byte (`bind`), which it then
+// keeps equal to `!empty()` at every push, pop and clear — the Network packs
+// these bytes per reading node so its idle-skip scan and the receive phase
+// test lane occupancy without touching the lanes themselves.
 // rlftnoc-lint: hot-path (per-cycle step path: R4 bans node-allocating containers and .at())
 #pragma once
 
@@ -42,6 +47,7 @@ class DelayLine {
                   static_cast<unsigned long long>(at),
                   static_cast<unsigned long long>(entries_.back().deliver_at));
     entries_.push_back(Entry{at, std::move(value)});
+    if (occ_ != nullptr) *occ_ = 1;
   }
 
   /// Pops the oldest entry if it has matured by `now`.
@@ -49,6 +55,7 @@ class DelayLine {
     if (entries_.empty() || entries_.front().deliver_at > now) return std::nullopt;
     T out = std::move(entries_.front().value);
     entries_.pop_front();
+    if (occ_ != nullptr && entries_.empty()) *occ_ = 0;
     return out;
   }
 
@@ -61,7 +68,15 @@ class DelayLine {
   std::size_t clear() noexcept {
     const std::size_t n = entries_.size();
     entries_.clear();
+    if (occ_ != nullptr) *occ_ = 0;
     return n;
+  }
+
+  /// Binds the lane's occupancy byte (null unbinds) and sets it from the
+  /// lane's current state; from then on it tracks `!empty()` exactly.
+  void bind(std::uint8_t* occ) noexcept {
+    occ_ = occ;
+    if (occ_ != nullptr) *occ_ = entries_.empty() ? 0 : 1;
   }
 
   /// Visits every queued value oldest-first (auditing / diagnostics only —
@@ -78,6 +93,7 @@ class DelayLine {
   };
   Cycle latency_;
   RingBuffer<Entry> entries_;
+  std::uint8_t* occ_ = nullptr;
 };
 
 /// Credit returned upstream when a flit vacates an input VC buffer slot.

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
 #include <stdexcept>
 #include <string>
@@ -32,9 +33,8 @@ Network::Network(const NocConfig& cfg, std::uint64_t seed, VariusParams varius,
   latency_window_.resize(static_cast<std::size_t>(n));
 
   // By-value channel arrays: every slot exists (default-empty); out_alive_
-  // marks which carry a live link. The flag scan reads lane emptiness
-  // straight out of these contiguous arrays — absent/killed slots stay
-  // empty forever, so emptiness checks need no aliveness branch.
+  // marks which carry a live link. Absent/killed slots stay empty forever,
+  // so their occupancy bytes (bound below) never read as busy.
   out_ch_ = std::vector<ChannelPair>(static_cast<std::size_t>(n) * kNumPorts);
   out_alive_.assign(static_cast<std::size_t>(n) * kNumPorts, 0);
   link_prob_.resize(static_cast<std::size_t>(n) * kNumPorts);
@@ -63,19 +63,36 @@ Network::Network(const NocConfig& cfg, std::uint64_t seed, VariusParams varius,
   skip_router_.assign(static_cast<std::size_t>(n), 0);
   skip_ni_.assign(static_cast<std::size_t>(n), 0);
 
-  // Precompute each input port's feeding lane index; absent neighbours
+  // Precompute each input port's feeding lane index (absent neighbours
   // alias the node's own Local slot, which never carries a channel and is
-  // therefore permanently empty.
+  // therefore permanently empty), and bind every lane to its reader's
+  // occupancy byte (layout in noc/node_hot.h). Each link slot has exactly
+  // one reader on each side: the downstream node reads its flits, the
+  // upstream node its credits and ACKs.
   in_lane_idx_.assign(static_cast<std::size_t>(n) * kMeshPorts.size(), 0);
+  lane_occ_.assign(static_cast<std::size_t>(n), LaneOcc{});
   for (NodeId node = 0; node < n; ++node) {
+    const auto i = static_cast<std::size_t>(node);
+    std::array<std::uint8_t, node_hot::kLanesPerNode>& b = lane_occ_[i].b;
     for (std::size_t pi = 0; pi < kMeshPorts.size(); ++pi) {
       const Port p = kMeshPorts[pi];
       const NodeId nb = topo_.neighbor(node, p);
-      in_lane_idx_[static_cast<std::size_t>(node) * kMeshPorts.size() + pi] =
-          static_cast<std::uint32_t>(
-              nb != kInvalidNode ? link_index(nb, opposite(p))
-                                 : link_index(node, Port::kLocal));
+      if (nb == kInvalidNode) {
+        in_lane_idx_[in_lane_slot(node, pi)] =
+            static_cast<std::uint32_t>(link_index(node, Port::kLocal));
+        continue;
+      }
+      const std::size_t in = link_index(nb, opposite(p));
+      in_lane_idx_[in_lane_slot(node, pi)] = static_cast<std::uint32_t>(in);
+      out_ch_[in].flits.bind(&b[node_hot::kInFlit + pi]);
+      ChannelPair& out = out_ch_[link_index(node, p)];
+      out.credits.bind(&b[node_hot::kOutCredit + pi]);
+      out.acks.bind(&b[node_hot::kOutAck + pi]);
     }
+    inj_[i].flits.bind(&b[node_hot::kInjFlit]);
+    ej_[i].credits.bind(&b[node_hot::kEjCredit]);
+    ej_[i].flits.bind(&b[node_hot::kEjFlit]);
+    inj_[i].credits.bind(&b[node_hot::kInjCredit]);
   }
 
   node_hot_.assign(static_cast<std::size_t>(n), 0);
@@ -88,10 +105,6 @@ void Network::refresh_node_hot(NodeId node) noexcept {
   std::uint8_t h = 0;
   if (routers_[i]->quiescent()) h |= node_hot::kRouterQuiescent;
   if (nis_[i]->injection_idle()) h |= node_hot::kNiInjectionIdle;
-  if (inj_[i].flits.empty()) h |= node_hot::kInjFlitsEmpty;
-  if (inj_[i].credits.empty()) h |= node_hot::kInjCreditsEmpty;
-  if (ej_[i].flits.empty()) h |= node_hot::kEjFlitsEmpty;
-  if (ej_[i].credits.empty()) h |= node_hot::kEjCreditsEmpty;
   node_hot_[i] = h;
 }
 
@@ -173,20 +186,6 @@ void Network::bind_effect_sinks() {
           fx, tracer_ != nullptr ? &fx->ni_trace : nullptr);
     }
   }
-}
-
-ChannelPair* Network::out_channel(NodeId node, Port p) {
-  if (p == Port::kLocal) return nullptr;
-  const std::size_t idx = link_index(node, p);
-  return out_alive_[idx] ? &out_ch_[idx] : nullptr;
-}
-
-ChannelPair* Network::in_channel(NodeId node, Port p) {
-  if (p == Port::kLocal) return nullptr;
-  const NodeId nb = topo_.neighbor(node, p);
-  if (nb == kInvalidNode) return nullptr;
-  const std::size_t idx = link_index(nb, opposite(p));
-  return out_alive_[idx] ? &out_ch_[idx] : nullptr;
 }
 
 void Network::set_link_error_prob(NodeId node, Port p, LinkErrorProb prob) {
@@ -463,31 +462,23 @@ void Network::finish_fault_application(std::vector<LostFlit>& lost) {
 
 bool Network::router_has_work(NodeId node) const {
   const auto i = static_cast<std::size_t>(node);
-  // Node-local half of the predicate from the packed hot byte: router
-  // quiescence, injection-flit lane, ejection-credit lane (see
-  // noc/node_hot.h for the freshness argument).
-  if ((node_hot_[i] & node_hot::kRouterSideIdle) != node_hot::kRouterSideIdle)
-    return true;
-  // Anything sitting on an incoming lane, mature or not: flits arriving on
-  // mesh links, credits/ACKs returning on outgoing links. Maturity is
-  // ignored on purpose — an immature entry just keeps the node un-skipped a
-  // cycle or two early, which is conservative. Absent/killed lanes are
-  // permanently empty, so no aliveness branch is needed.
-  const std::size_t in_base = i * kMeshPorts.size();
-  for (std::size_t pi = 0; pi < kMeshPorts.size(); ++pi) {
-    if (!out_ch_[in_lane_idx_[in_base + pi]].flits.empty()) return true;
-    const std::size_t out = link_index(node, kMeshPorts[pi]);
-    if (!out_ch_[out].credits.empty() || !out_ch_[out].acks.empty())
-      return true;
-  }
-  return false;
+  if ((node_hot_[i] & node_hot::kRouterQuiescent) == 0) return true;
+  // Anything sitting on a lane the router reads, mature or not: flits on
+  // the mesh inputs and the injection wire, credits/ACKs returning on its
+  // outputs, ejection credits. Maturity is ignored on purpose — an immature
+  // entry just keeps the node un-skipped a cycle or two early, which is
+  // conservative. Bytes 0..13 of the block, in two loads.
+  const auto w = std::bit_cast<std::array<std::uint64_t, 2>>(lane_occ_[i].b);
+  return (w[0] | (w[1] & node_hot::kRouterHiMask)) != 0;
 }
 
 bool Network::ni_has_work(NodeId node) const {
-  // Injection idleness + ejection-flit and injection-credit lane emptiness,
-  // all cached in the packed hot byte.
-  return (node_hot_[static_cast<std::size_t>(node)] & node_hot::kNiSideIdle) !=
-         node_hot::kNiSideIdle;
+  // Injection idleness, then the ejection-flit and injection-credit bytes
+  // (14..15 of the block).
+  const auto i = static_cast<std::size_t>(node);
+  if ((node_hot_[i] & node_hot::kNiInjectionIdle) == 0) return true;
+  const auto w = std::bit_cast<std::array<std::uint64_t, 2>>(lane_occ_[i].b);
+  return (w[1] & node_hot::kNiHiMask) != 0;
 }
 
 template <typename F>

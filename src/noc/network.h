@@ -111,11 +111,20 @@ class Network {
   const VariusModel& varius() const noexcept { return varius_; }
 
   /// Outgoing inter-router channel of `node` through mesh port `p`;
-  /// nullptr at a mesh edge or for the Local port.
-  ChannelPair* out_channel(NodeId node, Port p);
+  /// nullptr at a mesh edge, on a killed link or for the Local port.
+  ChannelPair* out_channel(NodeId node, Port p) {
+    if (p == Port::kLocal) return nullptr;
+    const std::size_t idx = link_index(node, p);
+    return out_alive_[idx] ? &out_ch_[idx] : nullptr;
+  }
   /// Incoming inter-router channel at `node`'s input port `p` (the
-  /// neighbour's outgoing channel); nullptr at a mesh edge / Local.
-  ChannelPair* in_channel(NodeId node, Port p);
+  /// neighbour's outgoing channel); nullptr at a mesh edge, on a killed
+  /// link or for the Local port.
+  ChannelPair* in_channel(NodeId node, Port p) {
+    if (p == Port::kLocal) return nullptr;
+    const std::size_t idx = in_lane_idx_[in_lane_slot(node, port_index(p))];
+    return out_alive_[idx] ? &out_ch_[idx] : nullptr;
+  }
   /// NI -> router injection channel of `node`.
   ChannelPair& inj_channel(NodeId node) {
     RLFTNOC_CHECK(valid_node(node), "inj_channel(%d): out of range", node);
@@ -125,6 +134,21 @@ class Network {
   ChannelPair& ej_channel(NodeId node) {
     RLFTNOC_CHECK(valid_node(node), "ej_channel(%d): out of range", node);
     return ej_[static_cast<std::size_t>(node)];
+  }
+
+  /// Lane-occupancy block of `node`: one byte per lane the node reads, each
+  /// equal to `!lane.empty()` (layout in noc/node_hot.h).
+  const LaneOcc& lane_occ(NodeId node) const noexcept {
+    return lane_occ_[static_cast<std::size_t>(node)];
+  }
+  /// Unchecked lane access for the receive phase, by mesh port index. Only
+  /// meaningful while the matching occupancy byte is set: a set byte
+  /// implies a live channel (absent and killed lanes stay empty).
+  ChannelPair& in_lane(NodeId node, std::size_t mesh_pi) noexcept {
+    return out_ch_[in_lane_idx_[in_lane_slot(node, mesh_pi)]];
+  }
+  ChannelPair& out_lane(NodeId node, std::size_t mesh_pi) noexcept {
+    return out_ch_[link_index(node, kMeshPorts[mesh_pi])];
   }
 
   /// Sets the error probabilities of the link leaving `node` through `p`.
@@ -303,6 +327,10 @@ class Network {
     return static_cast<std::size_t>(node) * kNumPorts + port_index(p);
   }
 
+  std::size_t in_lane_slot(NodeId node, std::size_t mesh_pi) const noexcept {
+    return static_cast<std::size_t>(node) * kMeshPorts.size() + mesh_pi;
+  }
+
   bool valid_node(NodeId n) const noexcept {
     return n >= 0 && static_cast<std::size_t>(n) < routers_.size();
   }
@@ -349,11 +377,11 @@ class Network {
 
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<NetworkInterface>> nis_;
-  /// out_ch_[node*5+port]: inter-router channels, by value so the flag scan
-  /// reads lane emptiness with contiguous loads instead of a unique_ptr
-  /// chase. Slots at mesh edges / Local / killed links stay default-empty
-  /// forever (out_alive_ gates the accessors); their lanes are cleared on
-  /// kill, so emptiness checks need no aliveness branch.
+  /// out_ch_[node*5+port]: inter-router channels, by value and never
+  /// reallocated, so lanes keep their lane_occ_ bindings. Slots at mesh
+  /// edges / Local / killed links stay default-empty forever (out_alive_
+  /// gates the accessors); their lanes are cleared on kill, so a set
+  /// occupancy byte always names a live lane.
   std::vector<ChannelPair> out_ch_;
   std::vector<std::uint8_t> out_alive_;  ///< per link_index: channel exists
   std::vector<ChannelPair> inj_;
@@ -410,13 +438,17 @@ class Network {
   // -- SoA hot state + cross-cycle quiescence lookahead (see step()) --
   /// Sentinel wake stamp for a shard with no scheduled wake-up.
   static constexpr Cycle kWakeNever = ~Cycle{0};
-  /// Per-node packed hot byte (see noc/node_hot.h).
+  /// Per-node packed hot byte: router quiescence + NI injection idleness
+  /// (see noc/node_hot.h).
   std::vector<std::uint8_t> node_hot_;
+  /// Per-node lane-occupancy blocks, bound to their lanes at construction
+  /// and kept exact by DelayLine (see noc/node_hot.h).
+  std::vector<LaneOcc> lane_occ_;
   /// node_shard_[node]: owning shard index (rebuilt with the partition).
   std::vector<std::uint32_t> node_shard_;
   /// in_lane_idx_[node*4+mesh_port]: link_index of the neighbour's outgoing
   /// channel feeding this input port; absent neighbours alias the node's own
-  /// (always-empty) Local slot so the flag scan stays branch-light.
+  /// (never-alive, always-empty) Local slot.
   std::vector<std::uint32_t> in_lane_idx_;
   /// wake_[s] <= now_ means shard s must be visited this cycle; kWakeNever
   /// means it sleeps until an external event lowers the stamp.

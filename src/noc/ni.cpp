@@ -63,6 +63,7 @@ bool NetworkInterface::enqueue_packet(Packet pkt) {
 }
 
 void NetworkInterface::receive(Cycle now) {
+  if (net_->lane_occ(id_).b[node_hot::kEjFlit] == 0) return;
   ChannelPair& ej = net_->ej_channel(id_);
   while (auto f = ej.flits.pop(now)) {
     RLFTNOC_CHECK(f->vc >= 0 && f->vc < cfg_->vcs_per_port,
@@ -313,8 +314,10 @@ void NetworkInterface::start_next_packet(Cycle /*now*/) {
 
 void NetworkInterface::execute(Cycle now) {
   ChannelPair& inj = net_->inj_channel(id_);
-  while (auto c = inj.credits.pop(now))
-    ++local_vcs_[static_cast<std::size_t>(c->vc)].credits;
+  if (net_->lane_occ(id_).b[node_hot::kInjCredit] != 0) {
+    while (auto c = inj.credits.pop(now))
+      ++local_vcs_[static_cast<std::size_t>(c->vc)].credits;
+  }
 
   if (!sending_) start_next_packet(now);
   if (!sending_) return;

@@ -49,30 +49,42 @@ Router::Router(NodeId id, const NocConfig* cfg, Network* net)
 // --------------------------------------------------------------------------
 
 void Router::receive(Cycle now) {
-  for (const Port p : kMeshPorts) {
-    if (ChannelPair* ch = net_->in_channel(id_, p)) {
-      while (auto f = ch->flits.pop(now)) handle_incoming_flit(now, p, std::move(*f));
-    }
+  // Pops only lanes whose occupancy byte is set (an empty lane pops
+  // nothing), in the fixed order: mesh flits N,S,E,W, injection flits, then
+  // per mesh port credits and ACKs, then ejection credits.
+  const std::array<std::uint8_t, node_hot::kLanesPerNode>& occ =
+      net_->lane_occ(id_).b;
+  for (std::size_t pi = 0; pi < kMeshPorts.size(); ++pi) {
+    if (occ[node_hot::kInFlit + pi] == 0) continue;
+    DelayLine<Flit>& lane = net_->in_lane(id_, pi).flits;
+    while (auto f = lane.pop(now)) handle_incoming_flit(now, kMeshPorts[pi], std::move(*f));
   }
-  ChannelPair& inj = net_->inj_channel(id_);
-  while (auto f = inj.flits.pop(now))
-    handle_incoming_flit(now, Port::kLocal, std::move(*f));
+  if (occ[node_hot::kInjFlit] != 0) {
+    DelayLine<Flit>& lane = net_->inj_channel(id_).flits;
+    while (auto f = lane.pop(now))
+      handle_incoming_flit(now, Port::kLocal, std::move(*f));
+  }
 
-  for (const Port p : kMeshPorts) {
-    if (ChannelPair* ch = net_->out_channel(id_, p)) {
-      const std::size_t pi = port_index(p);
-      while (auto c = ch->credits.pop(now)) {
+  for (std::size_t pi = 0; pi < kMeshPorts.size(); ++pi) {
+    if (occ[node_hot::kOutCredit + pi] != 0) {
+      DelayLine<Credit>& lane = net_->out_lane(id_, pi).credits;
+      while (auto c = lane.pop(now)) {
         const auto v = static_cast<std::size_t>(c->vc);
         mask_credit(pi, v, ++output_[pi].vcs[v].credits);
       }
-      while (auto a = ch->acks.pop(now)) handle_ack(p, *a);
+    }
+    if (occ[node_hot::kOutAck + pi] != 0) {
+      DelayLine<AckMsg>& lane = net_->out_lane(id_, pi).acks;
+      while (auto a = lane.pop(now)) handle_ack(kMeshPorts[pi], *a);
     }
   }
-  ChannelPair& ej = net_->ej_channel(id_);
-  const std::size_t local_pi = port_index(Port::kLocal);
-  while (auto c = ej.credits.pop(now)) {
-    const auto v = static_cast<std::size_t>(c->vc);
-    mask_credit(local_pi, v, ++output_[local_pi].vcs[v].credits);
+  if (occ[node_hot::kEjCredit] != 0) {
+    DelayLine<Credit>& lane = net_->ej_channel(id_).credits;
+    const std::size_t local_pi = port_index(Port::kLocal);
+    while (auto c = lane.pop(now)) {
+      const auto v = static_cast<std::size_t>(c->vc);
+      mask_credit(local_pi, v, ++output_[local_pi].vcs[v].credits);
+    }
   }
 }
 
@@ -198,9 +210,11 @@ void Router::execute(Cycle now) {
 
 void Router::stage_link_resend(Cycle now) {
   for (const Port p : kMeshPorts) {
-    if (net_->out_channel(id_, p) == nullptr) continue;
     const std::size_t pi = port_index(p);
     OutputPort& op = output_[pi];
+    // Nothing queued is the common case; the body below is a no-op then.
+    if (op.retx_queue.empty() && op.dup_queue.empty()) continue;
+    if (net_->out_channel(id_, p) == nullptr) continue;
     if (now < op.busy_until) continue;
 
     // Priority 1: NACK-triggered resends.

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/check.h"
 #include "noc/ni.h"
 
 namespace rlftnoc {
@@ -75,9 +74,6 @@ void write_trace_file(const std::string& path, const std::vector<TraceRecord>& r
 }
 
 std::vector<TraceRecord> capture_trace(TrafficGenerator& gen, Cycle cycles) {
-  RLFTNOC_CHECK(!gen.exhausted(),
-                "capture_trace: generator '%s' already exhausted",
-                gen.name().c_str());
   if (gen.exhausted())
     throw std::invalid_argument("capture_trace: generator '" + gen.name() +
                                 "' is already exhausted; capturing it would "

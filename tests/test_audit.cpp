@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -170,6 +171,79 @@ TEST(Audit, MaskConsistencyUnderMidRunKillsEveryCycle) {
   EXPECT_GT(r.packets_delivered, 0u);
   ASSERT_NE(sim.auditor(), nullptr);
   EXPECT_GT(sim.auditor()->clean_passes(), 1000u);
+}
+
+/// Audited per-cycle sweep of the stepper's packed node state (lane bytes +
+/// hot bits, invariant 7) through mid-run link and router kills, on mesh and
+/// torus, serial and threaded. Teardown clears lanes wholesale and refreshes
+/// hot bytes from serial context; the threaded runs push into neighbour
+/// lanes from other shards. Completing the audited run is the assertion.
+class LaneOccupancyAudit
+    : public ::testing::TestWithParam<std::tuple<TopologyKind, unsigned>> {};
+
+TEST_P(LaneOccupancyAudit, CleanEveryCycleThroughMidRunKills) {
+  const auto [topology, threads] = GetParam();
+  SimOptions opt;
+  opt.policy = PolicyKind::kStaticArqEcc;
+  opt.seed = 13;
+  opt.noc.mesh_width = 4;
+  opt.noc.mesh_height = 4;
+  opt.noc.topology = topology;
+  opt.noc.routing = RoutingAlgorithm::kAdaptive;
+  opt.sim_threads = threads;
+  opt.pretrain_cycles = 0;
+  opt.warmup_cycles = 0;
+  opt.audit = true;
+  opt.audit_interval = 1;
+  opt.error_scale = 2.0;
+  opt.hard_faults = parse_hard_faults("link:6:E@300, router:9@700");
+
+  Simulator sim(opt);
+  SyntheticTraffic::Options o;
+  o.injection_rate = 0.05;
+  o.total_packets = 1000;
+  SyntheticTraffic gen(MeshTopology(opt.noc), o, opt.seed);
+  const SimResult r = sim.run(gen);
+  EXPECT_TRUE(r.drained);
+  EXPECT_GT(r.packets_delivered, 0u);
+  EXPECT_GT(r.total_cycles, 700u);  // both kills struck mid-run
+  ASSERT_NE(sim.auditor(), nullptr);
+  EXPECT_GE(sim.auditor()->clean_passes(), r.total_cycles);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MeshTorusThreads, LaneOccupancyAudit,
+    ::testing::Combine(::testing::Values(TopologyKind::kMesh,
+                                         TopologyKind::kTorus),
+                       ::testing::Values(1u, 4u)),
+    [](const ::testing::TestParamInfo<LaneOccupancyAudit::ParamType>& info) {
+      return std::string(std::get<0>(info.param) == TopologyKind::kMesh
+                             ? "mesh"
+                             : "torus") +
+             "_t" + std::to_string(std::get<1>(info.param));
+    });
+
+TEST(Audit, UntrackedLaneTripsMaskConsistency) {
+  const NocConfig cfg = tiny_mesh();
+  Network net(cfg, /*seed=*/5);
+
+  // A lane that stops maintaining its occupancy byte: the credit sits in
+  // the lane, but the stepper would never see it.
+  ChannelPair* ch = net.out_channel(5, Port::kNorth);
+  ASSERT_NE(ch, nullptr);
+  ch->acks.bind(nullptr);
+  ch->acks.push(net.now(), AckMsg{});
+
+  NetworkAuditor auditor;
+  const std::vector<AuditViolation> violations = auditor.run(net);
+  const auto it = std::find_if(violations.begin(), violations.end(),
+                               [](const AuditViolation& v) {
+                                 return v.invariant == "mask-consistency";
+                               });
+  ASSERT_NE(it, violations.end());
+  EXPECT_EQ(it->node, 5);
+  EXPECT_EQ(it->port, Port::kNorth);
+  EXPECT_NE(it->detail.find("out-ack"), std::string::npos) << it->detail;
 }
 
 TEST(Audit, PhantomFlitTripsConservation) {

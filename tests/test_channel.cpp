@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace rlftnoc {
 namespace {
 
@@ -64,6 +66,68 @@ TEST(DelayLine, MovesValueOut) {
   auto v = d.pop(1);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(**v, 7);
+}
+
+TEST(DelayLineOccupancy, PushSetsByte) {
+  std::uint8_t occ = 0;
+  DelayLine<int> d(1);
+  d.bind(&occ);
+  EXPECT_EQ(occ, 0);
+  d.push(0, 1);
+  EXPECT_EQ(occ, 1);
+  d.push_delayed(0, 2, 3);
+  EXPECT_EQ(occ, 1);
+}
+
+TEST(DelayLineOccupancy, ImmaturePopKeepsByte) {
+  std::uint8_t occ = 0;
+  DelayLine<int> d(2);
+  d.bind(&occ);
+  d.push(0, 1);
+  EXPECT_FALSE(d.pop(1).has_value());  // matures at 2
+  EXPECT_EQ(occ, 1);
+}
+
+TEST(DelayLineOccupancy, PopToEmptyClearsByte) {
+  std::uint8_t occ = 0;
+  DelayLine<int> d(1);
+  d.bind(&occ);
+  d.push(0, 1);
+  d.push(1, 2);
+  EXPECT_EQ(*d.pop(1), 1);
+  EXPECT_EQ(occ, 1);  // one entry left
+  EXPECT_EQ(*d.pop(2), 2);
+  EXPECT_EQ(occ, 0);
+  EXPECT_FALSE(d.pop(3).has_value());
+  EXPECT_EQ(occ, 0);
+}
+
+TEST(DelayLineOccupancy, ClearClearsByte) {
+  std::uint8_t occ = 0;
+  DelayLine<int> d(1);
+  d.bind(&occ);
+  d.push(0, 1);
+  d.push(0, 2);
+  EXPECT_EQ(d.clear(), 2u);
+  EXPECT_EQ(occ, 0);
+}
+
+TEST(DelayLineOccupancy, BindReflectsCurrentState) {
+  DelayLine<int> d(1);
+  d.push(0, 1);
+  std::uint8_t occ = 0;
+  d.bind(&occ);
+  EXPECT_EQ(occ, 1);
+
+  DelayLine<int> empty(1);
+  std::uint8_t stale = 1;
+  empty.bind(&stale);
+  EXPECT_EQ(stale, 0);
+
+  // Unbinding leaves the old byte alone and stops tracking.
+  d.bind(nullptr);
+  d.pop(1);
+  EXPECT_EQ(occ, 1);
 }
 
 TEST(ChannelPair, DefaultLatencies) {
