@@ -9,6 +9,11 @@
 // stops once the buffer has seen its high-water mark, so a warmed-up
 // simulation allocates nothing per cycle).
 //
+// Single-copy contract: `append()` hands out the new back slot itself, and
+// `push_back` forwards its argument into that slot, so a pushed value is
+// copied (lvalue) or moved (rvalue) exactly once — no by-value parameter or
+// temporary in between. Callers holding a large entry fill the slot in place.
+//
 // Requirements on T: default-constructible and move-assignable (the backing
 // store is value-initialized up front and entries are moved in and out).
 // Move-only types work. Popped slots are not destroyed until overwritten or
@@ -43,10 +48,26 @@ class RingBuffer {
     if (min_capacity > buf_.size()) grow_to(round_up_pow2(min_capacity));
   }
 
-  void push_back(T value) {
+  /// Claims a new back slot and returns it for the caller to fill in place
+  /// (its old contents are unspecified: a default value or a popped entry).
+  /// The slot is the only copy the buffer ever makes of a value, which is
+  /// what lets producers build or move a large entry straight into place.
+  T& append() {
     if (size_ == buf_.size()) grow_to(next_capacity());
-    buf_[wrap(head_ + size_)] = std::move(value);
-    ++size_;
+    return buf_[wrap(head_ + size_++)];
+  }
+
+  /// Forwards `value` into a new back slot: an rvalue is moved, an lvalue
+  /// copied, each exactly once. `value` may alias an entry of this buffer;
+  /// a growing push copies it out before the entries move.
+  template <typename U = T>
+  void push_back(U&& value) {
+    if (size_ == buf_.size()) {
+      T held(std::forward<U>(value));
+      append() = std::move(held);
+      return;
+    }
+    append() = std::forward<U>(value);
   }
 
   /// O(1) prepend (the NI re-queues the packet it just dequeued when every

@@ -7,9 +7,15 @@
 // popping within the same simulated cycle therefore never race.
 //
 // A lane may be bound to an external occupancy byte (`bind`), which it then
-// keeps equal to `!empty()` at every push, pop and clear — the Network packs
+// keeps equal to `!empty()` at every push, drop and clear — the Network packs
 // these bytes per reading node so its idle-skip scan and the receive phase
 // test lane occupancy without touching the lanes themselves.
+//
+// Single-copy contract: a value crosses a lane with one copy in and none out.
+// `push` forwards its argument straight into a ring slot (RingBuffer::append),
+// and consumers read the matured front in place with `peek(now)` and retire
+// it with `drop_front()`, moving out only what they keep. `pop` is the
+// by-value convenience wrapper over the same two calls.
 // rlftnoc-lint: hot-path (per-cycle step path: R4 bans node-allocating containers and .at())
 #pragma once
 
@@ -33,12 +39,18 @@ class DelayLine {
   Cycle latency() const noexcept { return latency_; }
 
   /// Enqueues `value` at time `now`; it becomes visible at `now + latency`.
-  void push(Cycle now, T value) { push_delayed(now, std::move(value), 0); }
+  template <typename U = T>
+  void push(Cycle now, U&& value) {
+    push_delayed(now, std::forward<U>(value), 0);
+  }
 
   /// Enqueues with `extra` additional cycles of delay (mode-3 relaxed-timing
   /// transfers). Callers keep the channel busy over the stretch, so stamps
-  /// stay monotone and FIFO order is preserved.
-  void push_delayed(Cycle now, T value, Cycle extra) {
+  /// stay monotone and FIFO order is preserved. `value` is forwarded
+  /// straight into the lane's new slot (copied once if an lvalue, moved once
+  /// if an rvalue); it must not refer to an entry of this same lane.
+  template <typename U = T>
+  void push_delayed(Cycle now, U&& value, Cycle extra) {
     const Cycle at = now + latency_ + extra;
     // FIFO delivery order requires monotone maturity stamps; a violation
     // means a producer bypassed the channel-occupancy protocol.
@@ -46,16 +58,33 @@ class DelayLine {
                   "delay line stamp regressed: %llu after %llu",
                   static_cast<unsigned long long>(at),
                   static_cast<unsigned long long>(entries_.back().deliver_at));
-    entries_.push_back(Entry{at, std::move(value)});
+    Entry& e = entries_.append();
+    e.deliver_at = at;
+    e.value = std::forward<U>(value);
     if (occ_ != nullptr) *occ_ = 1;
   }
 
-  /// Pops the oldest entry if it has matured by `now`.
-  std::optional<T> pop(Cycle now) {
-    if (entries_.empty() || entries_.front().deliver_at > now) return std::nullopt;
-    T out = std::move(entries_.front().value);
+  /// The oldest entry if it has matured by `now`, else null. The consumer
+  /// works on the entry in place and then calls drop_front(); the pointer
+  /// stays valid until that call or the next push.
+  T* peek(Cycle now) noexcept {
+    if (entries_.empty() || entries_.front().deliver_at > now) return nullptr;
+    return &entries_.front().value;
+  }
+
+  /// Removes the oldest entry (which must exist — normally the one peek()
+  /// just returned), clearing the occupancy byte when the lane empties.
+  void drop_front() noexcept {
     entries_.pop_front();
     if (occ_ != nullptr && entries_.empty()) *occ_ = 0;
+  }
+
+  /// Pops the oldest entry if it has matured by `now` (peek + drop_front).
+  std::optional<T> pop(Cycle now) {
+    T* v = peek(now);
+    if (v == nullptr) return std::nullopt;
+    std::optional<T> out(std::move(*v));
+    drop_front();
     return out;
   }
 
@@ -80,7 +109,7 @@ class DelayLine {
   }
 
   /// Visits every queued value oldest-first (auditing / diagnostics only —
-  /// the simulation itself must go through pop() to honour maturity).
+  /// the simulation itself must go through peek()/pop() to honour maturity).
   template <typename Fn>
   void for_each(Fn&& fn) const {
     entries_.for_each([&fn](const Entry& e) { fn(e.value); });

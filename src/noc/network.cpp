@@ -60,8 +60,6 @@ Network::Network(const NocConfig& cfg, std::uint64_t seed, VariusParams varius,
     routers_.push_back(std::make_unique<Router>(node, &cfg_, this));
     nis_.push_back(std::make_unique<NetworkInterface>(node, &cfg_, this));
   }
-  skip_router_.assign(static_cast<std::size_t>(n), 0);
-  skip_ni_.assign(static_cast<std::size_t>(n), 0);
 
   // Precompute each input port's feeding lane index (absent neighbours
   // alias the node's own Local slot, which never carries a channel and is
@@ -157,7 +155,10 @@ void Network::build_shards(std::size_t shards) {
       node_shard_[static_cast<std::size_t>(node)] =
           static_cast<std::uint32_t>(s);
   wake_.assign(shards_.size(), now_);
-  shard_busy_.assign(shards_.size(), 0);
+  busy_router_.assign(static_cast<std::size_t>(n), 0);
+  busy_ni_.assign(static_cast<std::size_t>(n), 0);
+  busy_any_.assign(static_cast<std::size_t>(n), 0);
+  work_.assign(shards_.size(), ShardWork{});
   halo_.assign(shards_.size(), {});
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     std::vector<std::uint32_t>& h = halo_[s];
@@ -677,8 +678,9 @@ void Network::step() {
     return;
   }
 
-  // Fused dispatch A — per awake shard: idle-skip flags for the shard's
-  // nodes, then the receive phase (routers before NIs, ascending). Fusing
+  // Fused dispatch A — per awake shard: the idle-skip flag scan over the
+  // shard's nodes, which emits the shard's busy worklists, then the receive
+  // phase over those lists (routers before NIs, ascending). Fusing
   // is sound because the flag scan reads only state the receive phase
   // leaves untouched across shards: receive pops are single-consumer on the
   // popping node's own lanes, ACKs are staged (not pushed), and the only
@@ -710,36 +712,43 @@ void Network::step() {
 
   for_each_shard(pooled_a, [&](std::size_t s) {
     if (wake_[s] > t) return;  // sleeping shard: no flags, no visits
-    StepEffects& fx = fx_[s];
-    for (NodeId node = shards_[s].lo; node < shards_[s].hi; ++node) {
-      const auto i = static_cast<std::size_t>(node);
-      skip_router_[i] = router_has_work(node) ? 0 : 1;
-      skip_ni_[i] = ni_has_work(node) ? 0 : 1;
-      fx.router_skipped += skip_router_[i];
-      fx.ni_skipped += skip_ni_[i];
-      fx.busy_visits += (2u - skip_router_[i]) - skip_ni_[i];
+    // Flag scan: append every node to each worklist and advance the list's
+    // length only when the node is busy — branch-free, ascending.
+    const auto lo = static_cast<std::size_t>(shards_[s].lo);
+    const auto hi = static_cast<std::size_t>(shards_[s].hi);
+    NodeId* const br = busy_router_.data() + lo;
+    NodeId* const bn = busy_ni_.data() + lo;
+    NodeId* const ba = busy_any_.data() + lo;
+    std::uint32_t nr = 0, nn = 0, na = 0;
+    for (std::size_t i = lo; i < hi; ++i) {
+      const auto node = static_cast<NodeId>(i);
+      const bool r = router_has_work(node);
+      const bool q = ni_has_work(node);
+      br[nr] = node;
+      nr += r;
+      bn[nn] = node;
+      nn += q;
+      ba[na] = node;
+      na += r | q;
     }
-    for (NodeId node = shards_[s].lo; node < shards_[s].hi; ++node) {
-      const auto i = static_cast<std::size_t>(node);
-      if (!skip_router_[i]) routers_[i]->receive(t);
-    }
-    for (NodeId node = shards_[s].lo; node < shards_[s].hi; ++node) {
-      const auto i = static_cast<std::size_t>(node);
-      if (!skip_ni_[i]) nis_[i]->receive(t);
-    }
-    fx.mark_receive_end();
+    work_[s] = ShardWork{nr, nn, na};
+    for (std::uint32_t k = 0; k < nr; ++k)
+      routers_[static_cast<std::size_t>(br[k])]->receive(t);
+    for (std::uint32_t k = 0; k < nn; ++k)
+      nis_[static_cast<std::size_t>(bn[k])]->receive(t);
+    fx_[s].mark_receive_end();
   });
 
+  // Skip counters: an awake shard skipped every node not on its lists
+  // (sleeping shards were credited in full above).
   std::uint64_t busy = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    StepEffects& fx = fx_[s];
-    router_steps_skipped_ += fx.router_skipped;
-    ni_steps_skipped_ += fx.ni_skipped;
-    shard_busy_[s] = static_cast<std::uint32_t>(fx.busy_visits);
-    busy += fx.busy_visits;
-    fx.router_skipped = 0;
-    fx.ni_skipped = 0;
-    fx.busy_visits = 0;
+    if (wake_[s] > t) continue;
+    const ShardWork& w = work_[s];
+    const auto len = static_cast<std::uint64_t>(shards_[s].hi - shards_[s].lo);
+    router_steps_skipped_ += len - w.routers;
+    ni_steps_skipped_ += len - w.nis;
+    busy += w.visits();
   }
   prev_busy_ = busy;
 
@@ -750,7 +759,7 @@ void Network::step() {
         std::chrono::duration<double>(t2 - t1).count();
   }
 
-  // Dispatch B — the execute phase over the same skip flags, then a refresh
+  // Dispatch B — the execute phase over the same worklists, then a refresh
   // of every visited node's packed hot byte (a visit is the only thing that
   // can change the node-local half of the flag predicate mid-run; serial
   // mutators refresh explicitly). Whether it runs pooled or inline depends
@@ -760,18 +769,16 @@ void Network::step() {
     const bool pooled = busy >= kMinBusyVisitsForPool;
     for_each_shard(pooled, [&](std::size_t s) {
       if (wake_[s] > t) return;
-      for (NodeId node = shards_[s].lo; node < shards_[s].hi; ++node) {
-        const auto i = static_cast<std::size_t>(node);
-        if (!skip_router_[i]) routers_[i]->execute(t);
-      }
-      for (NodeId node = shards_[s].lo; node < shards_[s].hi; ++node) {
-        const auto i = static_cast<std::size_t>(node);
-        if (!skip_ni_[i]) nis_[i]->execute(t);
-      }
-      for (NodeId node = shards_[s].lo; node < shards_[s].hi; ++node) {
-        const auto i = static_cast<std::size_t>(node);
-        if (!skip_router_[i] || !skip_ni_[i]) refresh_node_hot(node);
-      }
+      const ShardWork& w = work_[s];
+      const auto lo = static_cast<std::size_t>(shards_[s].lo);
+      const NodeId* const br = busy_router_.data() + lo;
+      const NodeId* const bn = busy_ni_.data() + lo;
+      const NodeId* const ba = busy_any_.data() + lo;
+      for (std::uint32_t k = 0; k < w.routers; ++k)
+        routers_[static_cast<std::size_t>(br[k])]->execute(t);
+      for (std::uint32_t k = 0; k < w.nis; ++k)
+        nis_[static_cast<std::size_t>(bn[k])]->execute(t);
+      for (std::uint32_t k = 0; k < w.any; ++k) refresh_node_hot(ba[k]);
     });
   }
 
@@ -804,10 +811,10 @@ void Network::step() {
   // covering all cross-shard pushes of this cycle: flit/credit pushes in
   // execute and ACK pushes at the merge all target structural neighbours.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (wake_[s] <= t && shard_busy_[s] == 0) wake_[s] = kWakeNever;
+    if (wake_[s] <= t && work_[s].visits() == 0) wake_[s] = kWakeNever;
   }
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (wake_[s] <= t && shard_busy_[s] != 0) {
+    if (wake_[s] <= t && work_[s].visits() != 0) {
       for (const std::uint32_t h : halo_[s]) {
         if (wake_[h] > t + 1) wake_[h] = t + 1;
       }

@@ -418,10 +418,6 @@ class Network {
   EventTracer* tracer_ = nullptr;
   PacketResolutionListener* resolution_listener_ = nullptr;
 
-  /// Per-node skip flags, recomputed each step() (scratch, reused to avoid
-  /// per-cycle allocation).
-  std::vector<std::uint8_t> skip_router_;
-  std::vector<std::uint8_t> skip_ni_;
   std::uint64_t router_steps_skipped_ = 0;
   std::uint64_t ni_steps_skipped_ = 0;
 
@@ -458,8 +454,26 @@ class Network {
   /// which covers every cross-shard push (flits/credits in execute, staged
   /// ACKs at merge — all target structural neighbours).
   std::vector<std::vector<std::uint32_t>> halo_;
-  /// Per-shard busy_visits of the current cycle (scratch for halo wakes).
-  std::vector<std::uint32_t> shard_busy_;
+  /// Busy-node worklists, rebuilt each cycle by every awake shard's flag
+  /// scan in dispatch A (see step()). Shard s owns the slice [lo, hi) of
+  /// each array — its own node range — and appends node ids there in
+  /// ascending order: routers with work, NIs with work, and their union.
+  /// Receive, execute and the hot-byte refresh visit only these entries.
+  /// Sized with the partition (build_shards); nothing allocates per cycle.
+  std::vector<NodeId> busy_router_;
+  std::vector<NodeId> busy_ni_;
+  std::vector<NodeId> busy_any_;
+  /// Worklist lengths of one shard for the current cycle (meaningful only
+  /// while the shard is awake). One cache line per shard: pooled shards
+  /// write their own counts concurrently.
+  struct alignas(64) ShardWork {
+    std::uint32_t routers = 0;
+    std::uint32_t nis = 0;
+    std::uint32_t any = 0;
+    /// Router+NI visits this cycle: the halo-wake and pooling signal.
+    std::uint32_t visits() const noexcept { return routers + nis; }
+  };
+  std::vector<ShardWork> work_;
   std::uint64_t lookahead_cycles_slept_ = 0;
   std::uint64_t lookahead_shard_sleeps_ = 0;
   /// Previous cycle's total busy visits — decides whether dispatch A runs

@@ -64,49 +64,58 @@ bool NetworkInterface::enqueue_packet(Packet pkt) {
 
 void NetworkInterface::receive(Cycle now) {
   if (net_->lane_occ(id_).b[node_hot::kEjFlit] == 0) return;
-  ChannelPair& ej = net_->ej_channel(id_);
-  while (auto f = ej.flits.pop(now)) {
-    RLFTNOC_CHECK(f->vc >= 0 && f->vc < cfg_->vcs_per_port,
-                  "NI %d: ejected flit carries invalid vc %d", id_, f->vc);
-    ++counters_.flits_ejected;
-    net_->record_power(id_, PowerEvent::kCrcDecode);
-    ej.credits.push(now, Credit{f->vc});
+  // Each matured flit is absorbed in its lane slot and dropped afterwards.
+  // The drop touches only the ejection flit lane; absorb_flit pushes the
+  // ejection credit on the other lane of the pair, so the order of the two
+  // changes no effect.
+  DelayLine<Flit>& lane = net_->ej_channel(id_).flits;
+  while (const Flit* f = lane.peek(now)) {
+    absorb_flit(now, *f);
+    lane.drop_front();
+  }
+}
 
-    // Generation filtering (hard-fault recovery): a straggler of an already
-    // finalized generation, or of an older generation than the one being
-    // assembled, must not corrupt the current reassembly. Fault-free runs
-    // never take these branches (attempt stays 0 until a re-injection).
-    if (const auto fin = finalized_attempt_.find(f->packet_id);
-        fin != finalized_attempt_.end() && f->attempt <= fin->second) {
-      ++counters_.stale_flit_drops;
-      continue;
-    }
+void NetworkInterface::absorb_flit(Cycle now, const Flit& f) {
+  RLFTNOC_CHECK(f.vc >= 0 && f.vc < cfg_->vcs_per_port,
+                "NI %d: ejected flit carries invalid vc %d", id_, f.vc);
+  ++counters_.flits_ejected;
+  net_->record_power(id_, PowerEvent::kCrcDecode);
+  net_->ej_channel(id_).credits.push(now, Credit{f.vc});
 
-    Assembly& a = assembling_[f->packet_id];
-    if (a.expected != 0 && f->attempt < a.attempt) {
-      // Old-generation straggler arriving behind the newer re-injection; its
-      // ejection was already counted above, so dropping it is conservation-
-      // neutral.
-      ++counters_.stale_flit_drops;
-      continue;
-    }
-    if (a.expected == 0 || f->attempt > a.attempt) {
-      // Fresh assembly, or a newer generation overtaking a partial old one.
-      a = Assembly{};
-      a.src = f->src;
-      a.expected = f->packet_len;
-      a.packet_inject_cycle = f->packet_inject_cycle;
-      a.attempt = f->attempt;
-    }
+  // Generation filtering (hard-fault recovery): a straggler of an already
+  // finalized generation, or of an older generation than the one being
+  // assembled, must not corrupt the current reassembly. Fault-free runs
+  // never take these branches (attempt stays 0 until a re-injection).
+  if (const auto fin = finalized_attempt_.find(f.packet_id);
+      fin != finalized_attempt_.end() && f.attempt <= fin->second) {
+    ++counters_.stale_flit_drops;
+    return;
+  }
 
-    const bool crc_ok = default_crc32().compute(f->payload) == f->crc;
-    if (!crc_ok) ++counters_.crc_flit_failures;
-    ++a.received;
-    a.crc_failed = a.crc_failed || !crc_ok;
-    if (a.received >= a.expected) {
-      finalize_packet(now, f->packet_id, a);
-      assembling_.erase(f->packet_id);
-    }
+  Assembly& a = assembling_[f.packet_id];
+  if (a.expected != 0 && f.attempt < a.attempt) {
+    // Old-generation straggler arriving behind the newer re-injection; its
+    // ejection was already counted above, so dropping it is conservation-
+    // neutral.
+    ++counters_.stale_flit_drops;
+    return;
+  }
+  if (a.expected == 0 || f.attempt > a.attempt) {
+    // Fresh assembly, or a newer generation overtaking a partial old one.
+    a = Assembly{};
+    a.src = f.src;
+    a.expected = f.packet_len;
+    a.packet_inject_cycle = f.packet_inject_cycle;
+    a.attempt = f.attempt;
+  }
+
+  const bool crc_ok = default_crc32().compute(f.payload) == f.crc;
+  if (!crc_ok) ++counters_.crc_flit_failures;
+  ++a.received;
+  a.crc_failed = a.crc_failed || !crc_ok;
+  if (a.received >= a.expected) {
+    finalize_packet(now, f.packet_id, a);
+    assembling_.erase(f.packet_id);
   }
 }
 
@@ -325,11 +334,14 @@ void NetworkInterface::execute(Cycle now) {
   LocalVc& vc = local_vcs_[static_cast<std::size_t>(send_vc_)];
   if (vc.credits <= 0) return;
 
-  Flit flit = sending_->flits[next_flit_];
+  // Stamp the VC on the in-flight packet's own flit (sending_ is this NI's
+  // private copy; the retained master is separate) and copy it onto the
+  // wire once.
+  Flit& flit = sending_->flits[next_flit_];
   flit.vc = send_vc_;
   --vc.credits;
   net_->record_power(id_, PowerEvent::kCrcEncode);
-  inj.flits.push(now, std::move(flit));
+  inj.flits.push(now, flit);
   ++counters_.flits_sent;
   if (!sending_is_reinject_) ++counters_.flits_sent_fresh;
 

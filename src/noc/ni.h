@@ -136,6 +136,9 @@ class NetworkInterface {
     int credits = 0;
   };
 
+  /// Receive-side handling of one matured ejected flit, read in its lane
+  /// slot: credit return, generation filtering, reassembly and CRC.
+  void absorb_flit(Cycle now, const Flit& f);
   void start_next_packet(Cycle now);
   void finalize_packet(Cycle now, PacketId id, const Assembly& asmbl);
 

@@ -49,20 +49,28 @@ Router::Router(NodeId id, const NocConfig* cfg, Network* net)
 // --------------------------------------------------------------------------
 
 void Router::receive(Cycle now) {
-  // Pops only lanes whose occupancy byte is set (an empty lane pops
+  // Drains only lanes whose occupancy byte is set (an empty lane yields
   // nothing), in the fixed order: mesh flits N,S,E,W, injection flits, then
-  // per mesh port credits and ACKs, then ejection credits.
+  // per mesh port credits and ACKs, then ejection credits. Flits are handled
+  // in their lane slot and dropped afterwards; the drop touches only that
+  // lane, which nothing in handle_incoming_flit reads or writes, so doing it
+  // after (rather than before) the handling changes no effect.
   const std::array<std::uint8_t, node_hot::kLanesPerNode>& occ =
       net_->lane_occ(id_).b;
   for (std::size_t pi = 0; pi < kMeshPorts.size(); ++pi) {
     if (occ[node_hot::kInFlit + pi] == 0) continue;
     DelayLine<Flit>& lane = net_->in_lane(id_, pi).flits;
-    while (auto f = lane.pop(now)) handle_incoming_flit(now, kMeshPorts[pi], std::move(*f));
+    while (Flit* f = lane.peek(now)) {
+      handle_incoming_flit(now, kMeshPorts[pi], *f);
+      lane.drop_front();
+    }
   }
   if (occ[node_hot::kInjFlit] != 0) {
     DelayLine<Flit>& lane = net_->inj_channel(id_).flits;
-    while (auto f = lane.pop(now))
-      handle_incoming_flit(now, Port::kLocal, std::move(*f));
+    while (Flit* f = lane.peek(now)) {
+      handle_incoming_flit(now, Port::kLocal, *f);
+      lane.drop_front();
+    }
   }
 
   for (std::size_t pi = 0; pi < kMeshPorts.size(); ++pi) {
@@ -88,7 +96,7 @@ void Router::receive(Cycle now) {
   }
 }
 
-void Router::handle_incoming_flit(Cycle now, Port in_port, Flit flit) {
+void Router::handle_incoming_flit(Cycle now, Port in_port, Flit& flit) {
   const std::size_t pi = port_index(in_port);
   InputArq& arq = input_arq_[pi];
 
@@ -312,10 +320,13 @@ void Router::stage_switch_allocation(Cycle now) {
       if (ovc.credits <= 0) continue;
 
       // Grant: read the flit, cross the switch, return the buffer credit.
-      Flit flit = std::move(iv.fifo.front());
-      iv.fifo.pop_front();
-      --buffered_;
-      mask_update_occupancy(static_cast<unsigned>(idx), iv);
+      // The FIFO's front flit moves straight onto the wire and is popped
+      // afterwards. The pop (this VC's FIFO, buffered_, occ_mask_) and
+      // transmit (the output port, the outgoing lane) touch disjoint state,
+      // as do the upstream credit push and the downstream flit push, and the
+      // power events are order-free counters — so this order is
+      // observationally the same as popping first.
+      Flit& flit = iv.fifo.front();
       net_->record_power(id_, PowerEvent::kBufferRead);
       net_->record_power(id_, PowerEvent::kArbitration);
       net_->record_power(id_, PowerEvent::kCrossbar);
@@ -331,6 +342,9 @@ void Router::stage_switch_allocation(Cycle now) {
       flit.vc = iv.out_vc;
       const bool tail = flit.is_tail();
       transmit(now, out, std::move(flit), /*is_copy=*/false);
+      iv.fifo.pop_front();
+      --buffered_;
+      mask_update_occupancy(static_cast<unsigned>(idx), iv);
       if (tail) {
         ovc.allocated = false;
         mask_alloc(pi, static_cast<std::size_t>(iv.out_vc), false);
@@ -461,7 +475,7 @@ void Router::stage_route_computation(Cycle now) {
 // Wire transmission with the mode-specific link-layer policy
 // --------------------------------------------------------------------------
 
-void Router::transmit(Cycle now, Port out_port, Flit flit, bool is_copy) {
+void Router::transmit(Cycle now, Port out_port, Flit&& flit, bool is_copy) {
   const std::size_t pi = port_index(out_port);
   OutputPort& op = output_[pi];
   const bool mesh = out_port != Port::kLocal;

@@ -177,7 +177,9 @@ class Router {
   };
 
   // -- receive-side helpers --
-  void handle_incoming_flit(Cycle now, Port in_port, Flit flit);
+  /// Handles one matured incoming flit in its lane slot: ARQ checks and
+  /// decode mutate it there, and an accepted flit is moved into its input VC.
+  void handle_incoming_flit(Cycle now, Port in_port, Flit& flit);
   void accept_flit(Port in_port, Flit&& flit);
   void handle_ack(Port out_port, const AckMsg& ack);
   void send_link_response(Cycle now, Port in_port, FlitId id, VcId vc, bool nack);
@@ -197,10 +199,11 @@ class Router {
                          bool return_credits, std::vector<LostFlit>* lost);
 
   /// Places `flit` on the wire through `out_port`, applying the current
-  /// mode's ECC encode / retention / stall / duplicate policy.
+  /// mode's ECC encode / retention / stall / duplicate policy. The flit is
+  /// stamped in place and moved once, into the outgoing lane's slot.
   /// `is_copy` marks link-level re-sends and duplicates (retention entry
   /// already exists). Updates port busy time.
-  void transmit(Cycle now, Port out_port, Flit flit, bool is_copy);
+  void transmit(Cycle now, Port out_port, Flit&& flit, bool is_copy);
 
   ArqRetention* find_retention(Port p, FlitId id);
   void erase_retention(Port p, FlitId id);

@@ -104,13 +104,6 @@ struct alignas(64) StepEffects {
   std::uint64_t dup_flits = 0;
   std::uint64_t crc_packet_failures = 0;
 
-  // Idle-skip accounting for the flags phase.
-  std::uint64_t router_skipped = 0;
-  std::uint64_t ni_skipped = 0;
-  /// Router+NI visits this shard will actually perform this cycle (busy
-  /// nodes); summed at the flags merge to pick inline vs pooled execution.
-  std::uint64_t busy_visits = 0;
-
   /// Trace events staged by routers / NIs of this shard. Two streams
   /// because the serial stepper runs *all* routers before *all* NIs within
   /// a phase: the merge drains every shard's router stream first, then

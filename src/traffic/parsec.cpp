@@ -116,18 +116,23 @@ void ParsecTraffic::tick(Cycle now, std::vector<Packet>& out) {
   const double base_rate = profile_.injection_rate / mean_scale;
   const double avg_len = profile_.short_packet_fraction * 1.0 +
                          (1.0 - profile_.short_packet_fraction) * profile_.data_packet_len;
+  // The per-node draws go through gates compiled once per tick from the very
+  // doubles bernoulli() would see, which is bit-identical (see rng.h).
+  const std::uint64_t exit_gate = Rng::bernoulli_gate(profile_.p_exit_burst);
+  const std::uint64_t enter_gate = Rng::bernoulli_gate(profile_.p_enter_burst);
+  const std::uint64_t on_gate = Rng::bernoulli_gate(
+      base_rate * profile_.burst_on_rate_scale / avg_len);
+  const std::uint64_t off_gate = Rng::bernoulli_gate(base_rate / avg_len);
 
   for (NodeId src = 0; src < topo_.num_nodes(); ++src) {
     if (exhausted()) break;
     auto idx = static_cast<std::size_t>(src);
     if (bursting_[idx]) {
-      if (rng_.bernoulli(profile_.p_exit_burst)) bursting_[idx] = false;
+      if (rng_.bernoulli_gated(exit_gate)) bursting_[idx] = false;
     } else {
-      if (rng_.bernoulli(profile_.p_enter_burst)) bursting_[idx] = true;
+      if (rng_.bernoulli_gated(enter_gate)) bursting_[idx] = true;
     }
-    const double rate =
-        base_rate * (bursting_[idx] ? profile_.burst_on_rate_scale : 1.0);
-    if (!rng_.bernoulli(rate / avg_len)) continue;
+    if (!rng_.bernoulli_gated(bursting_[idx] ? on_gate : off_gate)) continue;
 
     const NodeId dst = pick_destination(src);
     const int len = rng_.bernoulli(profile_.short_packet_fraction)

@@ -97,10 +97,12 @@ NodeId SyntheticTraffic::pick_destination(NodeId src) {
 
 void SyntheticTraffic::tick(Cycle now, std::vector<Packet>& out) {
   if (exhausted()) return;
-  const double p = opt_.injection_rate / opt_.packet_len;
+  // Compiled once per tick; bit-identical to bernoulli(p) (see rng.h).
+  const std::uint64_t gate =
+      Rng::bernoulli_gate(opt_.injection_rate / opt_.packet_len);
   for (NodeId src = 0; src < topo_.num_nodes(); ++src) {
     if (exhausted()) break;
-    if (!rng_.bernoulli(p)) continue;
+    if (!rng_.bernoulli_gated(gate)) continue;
     const NodeId dst = pick_destination(src);
     if (dst == kInvalidNode || dst == src) continue;
     out.push_back(make_packet(next_id_++, src, dst, opt_.packet_len, now, rng_));
@@ -121,7 +123,8 @@ PretrainTraffic::PretrainTraffic(const MeshTopology& topo, std::uint64_t seed,
 
 void PretrainTraffic::tick(Cycle now, std::vector<Packet>& out) {
   const std::size_t level = static_cast<std::size_t>(now / period_) % levels_.size();
-  const double p = levels_[level] / packet_len_;
+  // Compiled once per tick; bit-identical to bernoulli(p) (see rng.h).
+  const std::uint64_t gate = Rng::bernoulli_gate(levels_[level] / packet_len_);
   // Alternate uniform and hotspot halves within each level period so the
   // agents see both flat and spatially concentrated thermal regimes.
   const bool hotspot_half = (now / (period_ / 2)) % 2 == 1;
@@ -133,7 +136,7 @@ void PretrainTraffic::tick(Cycle now, std::vector<Packet>& out) {
       topo_.node(std::min(1, w - 1), std::max(h - 2, 0)),
       topo_.node(std::max(w - 2, 0), std::max(h - 2, 0))};
   for (NodeId src = 0; src < topo_.num_nodes(); ++src) {
-    if (!rng_.bernoulli(p)) continue;
+    if (!rng_.bernoulli_gated(gate)) continue;
     NodeId dst = src;
     if (hotspot_half && rng_.bernoulli(0.45)) {
       dst = hot[rng_.next_below(hot.size())];

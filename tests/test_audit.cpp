@@ -9,11 +9,13 @@
 #include <algorithm>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "fault/hard_faults.h"
 #include "noc/network.h"
+#include "noc/node_hot.h"
 #include "sim/simulator.h"
 #include "traffic/traffic.h"
 
@@ -217,6 +219,92 @@ INSTANTIATE_TEST_SUITE_P(
                                          TopologyKind::kTorus),
                        ::testing::Values(1u, 4u)),
     [](const ::testing::TestParamInfo<LaneOccupancyAudit::ParamType>& info) {
+      return std::string(std::get<0>(info.param) == TopologyKind::kMesh
+                             ? "mesh"
+                             : "torus") +
+             "_t" + std::to_string(std::get<1>(info.param));
+    });
+
+/// The busy-node worklists the flag scan emits must name exactly the nodes
+/// the idle-skip predicate calls busy. Before each step the expected counts
+/// are re-derived from live state — Router::quiescent(),
+/// NetworkInterface::injection_idle() and the node's lane-occupancy bytes —
+/// and the step's skip-counter deltas must equal nodes minus those counts,
+/// on every cycle, including ones a sleeping shard elides wholesale. Link
+/// error probabilities stay zero (error_scale 0), so the serial e2e drain
+/// inside step() only retires retained packets and never re-arms an NI.
+class BusyWorklistAudit
+    : public ::testing::TestWithParam<std::tuple<TopologyKind, unsigned>> {};
+
+TEST_P(BusyWorklistAudit, SkipDeltasMatchLiveBusyCountsEveryCycle) {
+  const auto [topology, threads] = GetParam();
+  NocConfig cfg = tiny_mesh();
+  cfg.topology = topology;
+  Network net(cfg, /*seed=*/19);
+  net.set_sim_threads(threads);
+  // Half the routers run the ARQ link layer, so retention and ACK lanes keep
+  // routers busy after their buffers empty.
+  for (NodeId n = 0; n < cfg.num_nodes(); n += 2)
+    net.router(n).set_mode(OpMode::kMode2);
+
+  const auto expected_busy = [&net, &cfg]() {
+    std::uint64_t routers = 0;
+    std::uint64_t nis = 0;
+    for (NodeId n = 0; n < cfg.num_nodes(); ++n) {
+      const auto& b = net.lane_occ(n).b;
+      bool router_lane = false;
+      for (std::size_t k = 0; k < node_hot::kEjFlit; ++k)
+        router_lane = router_lane || b[k] != 0;
+      const bool ni_lane =
+          b[node_hot::kEjFlit] != 0 || b[node_hot::kInjCredit] != 0;
+      routers += (!net.router(n).quiescent() || router_lane) ? 1 : 0;
+      nis += (!net.ni(n).injection_idle() || ni_lane) ? 1 : 0;
+    }
+    return std::pair<std::uint64_t, std::uint64_t>{routers, nis};
+  };
+
+  Rng traffic(19, "worklist-traffic");
+  PacketId next_id = 1;
+  const auto nodes = static_cast<std::uint64_t>(cfg.num_nodes());
+  NetworkAuditor auditor;
+  std::uint64_t busy_cycles = 0;
+  std::uint64_t idle_cycles = 0;
+  // Two bursts of traffic with a long idle gap between them, so the run
+  // covers loaded cycles, partially and fully slept cycles, and re-wakes.
+  for (Cycle c = 0; c < 4000; ++c) {
+    const bool burst = c < 300 || (c >= 2000 && c < 2200);
+    if (burst && traffic.bernoulli(0.3)) {
+      const auto src = static_cast<NodeId>(traffic.next_below(nodes));
+      const auto dst = static_cast<NodeId>(traffic.next_below(nodes));
+      // Single-flit packets let an NI go idle in a cycle its router skips,
+      // so only the union list's hot-byte refresh can record it.
+      const int len = traffic.bernoulli(0.5) ? 1 : cfg.flits_per_packet;
+      if (src != dst)
+        net.ni(src).enqueue_packet(
+            make_packet(next_id++, src, dst, len, c, net.payload_rng()));
+    }
+    const auto [routers, nis] = expected_busy();
+    const std::uint64_t r0 = net.router_steps_skipped();
+    const std::uint64_t n0 = net.ni_steps_skipped();
+    net.step();
+    ASSERT_EQ(net.router_steps_skipped() - r0, nodes - routers) << "cycle " << c;
+    ASSERT_EQ(net.ni_steps_skipped() - n0, nodes - nis) << "cycle " << c;
+    for (const AuditViolation& v : auditor.run(net)) ADD_FAILURE() << v.to_string();
+    (routers + nis != 0 ? busy_cycles : idle_cycles) += 1;
+  }
+  EXPECT_TRUE(net.drained());
+  EXPECT_GT(net.metrics().packets_delivered, 50u);
+  EXPECT_GT(busy_cycles, 400u);
+  EXPECT_GT(idle_cycles, 1000u);
+  EXPECT_GT(net.lookahead_cycles_slept(), 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MeshTorusThreads, BusyWorklistAudit,
+    ::testing::Combine(::testing::Values(TopologyKind::kMesh,
+                                         TopologyKind::kTorus),
+                       ::testing::Values(1u, 4u)),
+    [](const ::testing::TestParamInfo<BusyWorklistAudit::ParamType>& info) {
       return std::string(std::get<0>(info.param) == TopologyKind::kMesh
                              ? "mesh"
                              : "torus") +

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 
 namespace rlftnoc {
 namespace {
@@ -128,6 +130,89 @@ TEST(DelayLineOccupancy, BindReflectsCurrentState) {
   d.bind(nullptr);
   d.pop(1);
   EXPECT_EQ(occ, 1);
+}
+
+TEST(DelayLineOccupancy, PeekOnEmptyOrImmatureLaneIsNullAndKeepsByte) {
+  std::uint8_t occ = 7;  // bind() must overwrite any stale value
+  DelayLine<int> d(2);
+  d.bind(&occ);
+  EXPECT_EQ(d.peek(0), nullptr);  // empty
+  EXPECT_EQ(occ, 0);
+  d.push(0, 5);  // matures at 2
+  EXPECT_EQ(d.peek(1), nullptr);
+  EXPECT_EQ(occ, 1);
+  EXPECT_EQ(d.size(), 1u);
+  int* v = d.peek(2);
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(*v, 5);
+  EXPECT_EQ(occ, 1);  // peeking never consumes
+  EXPECT_EQ(d.size(), 1u);
+}
+
+TEST(DelayLineOccupancy, DropFrontToEmptyClearsByte) {
+  std::uint8_t occ = 0;
+  DelayLine<int> d(1);
+  d.bind(&occ);
+  d.push(0, 1);
+  d.push(0, 2);
+  ASSERT_NE(d.peek(1), nullptr);
+  d.drop_front();
+  EXPECT_EQ(occ, 1);  // one entry left
+  EXPECT_EQ(*d.peek(1), 2);
+  d.drop_front();
+  EXPECT_EQ(occ, 0);
+  EXPECT_TRUE(d.empty());
+  EXPECT_EQ(d.peek(5), nullptr);
+}
+
+TEST(DelayLine, PeekedEntryIsMutableInPlace) {
+  DelayLine<Flit> d(1);
+  Flit f;
+  f.seq = 3;
+  d.push(0, f);
+  Flit* in_slot = d.peek(1);
+  ASSERT_NE(in_slot, nullptr);
+  in_slot->vc = 2;
+  EXPECT_EQ(d.peek(1)->vc, 2);
+  const auto out = d.pop(1);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->seq, 3u);
+  EXPECT_EQ(out->vc, 2);
+}
+
+TEST(DelayLine, PushOfLvalueAndRvalueDeliverIntact) {
+  DelayLine<Flit> d(1);
+  Flit a;
+  a.packet_id = 11;
+  a.seq = 1;
+  a.payload = BitVec128(0x0123456789abcdefULL, 0xfedcba9876543210ULL);
+  a.crc = 0xdeadbeef;
+  a.lsn = 77;
+  d.push(0, a);  // lvalue: copied, source untouched
+  EXPECT_EQ(a.packet_id, 11u);
+  EXPECT_EQ(a.payload, BitVec128(0x0123456789abcdefULL, 0xfedcba9876543210ULL));
+  Flit b = a;
+  b.seq = 2;
+  b.payload = BitVec128(1, 2);
+  d.push(0, std::move(b));  // rvalue: moved
+  const auto first = d.pop(1);
+  const auto second = d.pop(1);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(first->packet_id, 11u);
+  EXPECT_EQ(first->seq, 1u);
+  EXPECT_EQ(first->payload, a.payload);
+  EXPECT_EQ(first->crc, 0xdeadbeefu);
+  EXPECT_EQ(first->lsn, 77u);
+  EXPECT_EQ(second->seq, 2u);
+  EXPECT_EQ(second->payload, BitVec128(1, 2));
+  EXPECT_EQ(second->crc, 0xdeadbeefu);
+
+  // Move-only payloads go through the rvalue path.
+  DelayLine<std::unique_ptr<int>> m(1);
+  auto p = std::make_unique<int>(9);
+  m.push(0, std::move(p));
+  EXPECT_EQ(**m.peek(1), 9);
 }
 
 TEST(ChannelPair, DefaultLatencies) {

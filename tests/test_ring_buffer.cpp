@@ -71,6 +71,34 @@ TEST(RingBuffer, GrowthPreservesOrderAcrossWrap) {
   }
 }
 
+TEST(RingBuffer, AppendAcrossWrappedThenGrownBufferKeepsFifoOrder) {
+  RingBuffer<int> rb(8);
+  // Wrap the head: live entries straddle the end of the backing array.
+  for (int i = 0; i < 5; ++i) rb.push_back(-1);
+  for (int i = 0; i < 5; ++i) rb.pop_front();
+  for (int i = 0; i < 8; ++i) rb.append() = i;  // fills to capacity, wrapped
+  ASSERT_EQ(rb.capacity(), 8u);
+  for (int i = 8; i < 20; ++i) rb.append() = i;  // grows twice mid-sequence
+  EXPECT_EQ(rb.capacity(), 32u);
+  ASSERT_EQ(rb.size(), 20u);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(rb.front(), i);
+    rb.pop_front();
+  }
+}
+
+TEST(RingBuffer, PushBackOfOwnEntrySurvivesGrowth) {
+  // A full buffer pushing a copy of its own front must copy it out before
+  // the growth moves the entries.
+  RingBuffer<std::vector<int>> rb;
+  for (int i = 0; i < 8; ++i) rb.push_back(std::vector<int>{i, i});
+  ASSERT_EQ(rb.size(), rb.capacity());
+  rb.push_back(rb.front());
+  ASSERT_EQ(rb.size(), 9u);
+  EXPECT_EQ(rb.back(), (std::vector<int>{0, 0}));
+  EXPECT_EQ(rb.front(), (std::vector<int>{0, 0}));
+}
+
 TEST(RingBuffer, PushFrontPrepends) {
   RingBuffer<int> rb;
   rb.push_back(2);

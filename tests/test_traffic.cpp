@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdlib>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "coding/crc.h"
+#include "common/rng.h"
 #include "noc/ni.h"
 #include "traffic/parsec.h"
 #include "traffic/trace.h"
@@ -195,6 +202,182 @@ TEST(Parsec, MixedPacketLengths) {
   }
   EXPECT_NEAR(static_cast<double>(shorts) / static_cast<double>(out.size()),
               prof.short_packet_fraction, 0.05);
+}
+
+// ---------------------------------------------------------------------------
+// Gated tick draws: the generators compile their per-node Bernoulli
+// probabilities into Rng gates once per tick. These references are the
+// ungated ticks (plain Rng::bernoulli on the same doubles); both must consume
+// the stream draw for draw, which the packet payloads (drawn from the same
+// stream) would expose at the first divergence.
+// ---------------------------------------------------------------------------
+
+class UngatedParsecReference {
+ public:
+  UngatedParsecReference(const MeshTopology& topo, ParsecProfile profile,
+                         std::uint64_t seed)
+      : topo_(topo),
+        profile_(std::move(profile)),
+        rng_(seed, "parsec:" + profile_.name),
+        bursting_(static_cast<std::size_t>(topo.num_nodes()), false),
+        mc_nodes_(default_mc_nodes(topo)) {}
+
+  bool exhausted() const { return generated_ >= profile_.total_packets; }
+
+  void tick(Cycle now, std::vector<Packet>& out) {
+    if (exhausted()) return;
+    const double p_on = profile_.p_enter_burst /
+                        (profile_.p_enter_burst + profile_.p_exit_burst);
+    const double mean_scale = 1.0 + p_on * (profile_.burst_on_rate_scale - 1.0);
+    const double base_rate = profile_.injection_rate / mean_scale;
+    const double avg_len =
+        profile_.short_packet_fraction * 1.0 +
+        (1.0 - profile_.short_packet_fraction) * profile_.data_packet_len;
+    for (NodeId src = 0; src < topo_.num_nodes(); ++src) {
+      if (exhausted()) break;
+      const auto idx = static_cast<std::size_t>(src);
+      if (bursting_[idx]) {
+        if (rng_.bernoulli(profile_.p_exit_burst)) bursting_[idx] = false;
+      } else {
+        if (rng_.bernoulli(profile_.p_enter_burst)) bursting_[idx] = true;
+      }
+      const double rate =
+          base_rate * (bursting_[idx] ? profile_.burst_on_rate_scale : 1.0);
+      if (!rng_.bernoulli(rate / avg_len)) continue;
+      const NodeId dst = pick_destination(src);
+      const int len = rng_.bernoulli(profile_.short_packet_fraction)
+                          ? 1
+                          : profile_.data_packet_len;
+      out.push_back(make_packet(next_id_++, src, dst, len, now, rng_));
+      ++generated_;
+    }
+  }
+
+ private:
+  NodeId pick_destination(NodeId src) {
+    if (rng_.bernoulli(profile_.mc_fraction)) {
+      NodeId best = mc_nodes_.front();
+      for (const NodeId mc : mc_nodes_) {
+        if (topo_.distance(src, mc) < topo_.distance(src, best)) best = mc;
+      }
+      if (best != src) return best;
+    }
+    if (rng_.bernoulli(profile_.locality)) {
+      std::vector<NodeId> nearby;
+      const Coord c = topo_.coord(src);
+      const int r = profile_.locality_radius;
+      for (int dy = -r; dy <= r; ++dy) {
+        for (int dx = -r; dx <= r; ++dx) {
+          if (std::abs(dx) + std::abs(dy) > r) continue;
+          const int x = c.x + dx;
+          const int y = c.y + dy;
+          if (x < 0 || x >= topo_.width() || y < 0 || y >= topo_.height()) continue;
+          const NodeId cand = topo_.node(x, y);
+          if (cand != src) nearby.push_back(cand);
+        }
+      }
+      if (!nearby.empty()) return nearby[rng_.next_below(nearby.size())];
+    }
+    NodeId dst = src;
+    while (dst == src)
+      dst = static_cast<NodeId>(
+          rng_.next_below(static_cast<std::uint64_t>(topo_.num_nodes())));
+    return dst;
+  }
+
+  MeshTopology topo_;
+  ParsecProfile profile_;
+  Rng rng_;
+  std::vector<bool> bursting_;
+  std::vector<NodeId> mc_nodes_;
+  std::uint64_t generated_ = 0;
+  PacketId next_id_ = 1;  // the ParsecTraffic default (parsec.h)
+};
+
+class UngatedPretrainReference {
+ public:
+  UngatedPretrainReference(const MeshTopology& topo, std::uint64_t seed)
+      : topo_(topo), rng_(seed, "pretrain") {}
+
+  void tick(Cycle now, std::vector<Packet>& out) {
+    const std::size_t level =
+        static_cast<std::size_t>(now / period_) % levels_.size();
+    const double p = levels_[level] / packet_len_;
+    const bool hotspot_half = (now / (period_ / 2)) % 2 == 1;
+    const int w = topo_.width();
+    const int h = topo_.height();
+    const std::array<NodeId, 4> hot = {
+        topo_.node(std::min(1, w - 1), std::min(1, h - 1)),
+        topo_.node(std::max(w - 2, 0), std::min(1, h - 1)),
+        topo_.node(std::min(1, w - 1), std::max(h - 2, 0)),
+        topo_.node(std::max(w - 2, 0), std::max(h - 2, 0))};
+    for (NodeId src = 0; src < topo_.num_nodes(); ++src) {
+      if (!rng_.bernoulli(p)) continue;
+      NodeId dst = src;
+      if (hotspot_half && rng_.bernoulli(0.45)) {
+        dst = hot[rng_.next_below(hot.size())];
+        if (dst == src) continue;
+      } else {
+        while (dst == src)
+          dst = static_cast<NodeId>(
+              rng_.next_below(static_cast<std::uint64_t>(topo_.num_nodes())));
+      }
+      out.push_back(make_packet(next_id_++, src, dst, packet_len_, now, rng_));
+    }
+  }
+
+ private:
+  MeshTopology topo_;
+  Rng rng_;
+  // The PretrainTraffic defaults (traffic.h).
+  std::vector<double> levels_ = {0.02, 0.04, 0.07, 0.10};
+  Cycle period_ = 20000;
+  int packet_len_ = 4;
+  PacketId next_id_ = 0x100000000ULL;
+};
+
+void expect_same_packets(const std::vector<Packet>& got,
+                         const std::vector<Packet>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("packet " + std::to_string(i));
+    EXPECT_EQ(got[i].id, want[i].id);
+    EXPECT_EQ(got[i].src, want[i].src);
+    EXPECT_EQ(got[i].dst, want[i].dst);
+    EXPECT_EQ(got[i].inject_cycle, want[i].inject_cycle);
+    ASSERT_EQ(got[i].flits.size(), want[i].flits.size());
+    for (std::size_t k = 0; k < got[i].flits.size(); ++k)
+      ASSERT_EQ(got[i].flits[k].payload, want[i].flits[k].payload);
+  }
+}
+
+TEST(GatedTick, ParsecMatchesUngatedDrawForDraw) {
+  ParsecProfile prof = parsec_profile("canneal");
+  prof.total_packets = 12000;
+  ParsecTraffic gen(kTopo, prof, 11);
+  UngatedParsecReference ref(kTopo, prof, 11);
+  std::vector<Packet> got, want;
+  for (Cycle t = 0; t < 200000 && !gen.exhausted(); ++t) {
+    gen.tick(t, got);
+    ref.tick(t, want);
+  }
+  EXPECT_TRUE(gen.exhausted());
+  EXPECT_TRUE(ref.exhausted());
+  expect_same_packets(got, want);
+}
+
+TEST(GatedTick, PretrainMatchesUngatedDrawForDraw) {
+  // Four levels x 20K cycles: every rate level and both hotspot halves.
+  const MeshTopology topo(4, 4);
+  PretrainTraffic gen(topo, 12);
+  UngatedPretrainReference ref(topo, 12);
+  std::vector<Packet> got, want;
+  for (Cycle t = 0; t < 80000; ++t) {
+    gen.tick(t, got);
+    ref.tick(t, want);
+  }
+  ASSERT_GT(got.size(), 1000u);
+  expect_same_packets(got, want);
 }
 
 TEST(Trace, RoundTripThroughText) {
