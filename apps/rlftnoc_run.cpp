@@ -1,46 +1,53 @@
 // rlftnoc_run — config-file-driven simulation CLI.
 //
 // Usage:
-//   rlftnoc_run <config-file> [--jobs N] [--sim-threads N] [--audit] [--trace]
-//               [--trace-dir D] [--metrics-interval N]
-//               [--workload W] [--record-workload PATH]
-//               [--kill-link NODE:P[@CYCLE]] [--kill-router NODE[@CYCLE]]
-//               [key=value ...]
+//   rlftnoc_run [<config-file>] [--flag V | --flag=V ...] [key=value ...]
 //   rlftnoc_run --dump-defaults
+//
+// Flags are shorthands for config keys (kFlags below):
+//   --jobs N                  jobs = N
+//   --sim-threads N           sim_threads = N
+//   --audit                   audit = true
+//   --workload W              workload = W
+//   --record-workload PATH    record_workload = PATH
+//   --kill-link NODE:P[@C]    appends link:NODE:P[@C] to hard_faults
+//   --kill-router NODE[@C]    appends router:NODE[@C] to hard_faults
+//   --trace                   telemetry = true
+//   --trace-dir D             telemetry.dir = D
+//   --metrics-interval N      metrics_interval = N
+// An unknown flag is an error (exit 2).
 //
 // Config keys (all optional; defaults reproduce the paper's setup):
 //   policy        = crc | arq | dt | rl | oracle
 //   workload      = <parsec name> | uniform | transpose | hotspot | ... |
 //                   dnn | rpc | nackstorm  (dependency-graph generators,
 //                                           tuned with wl.* keys) |
-//                   <path>.json | <path>.wkb  (rlftnoc-workload-v1 file,
-//                                              dependency-gated replay;
-//                                              also --workload W)
+//                   <path>  (rlftnoc-workload-v1 file: JSON, .wkb, or a
+//                            legacy `cycle src dst len` packet trace;
+//                            dependency-gated replay)
 //   record_workload = <path>         (capture this run into a replayable
 //                                     rlftnoc-workload-v1 file; .wkb =
-//                                     binary; also --record-workload PATH)
-//   trace         = <path>           (overrides workload: replay a trace)
+//                                     binary)
 //   seed          = 1
-//   jobs          = 1                (campaign-mode parallelism; also --jobs N)
+//   jobs          = 1                (campaign-mode parallelism)
 //   sim_threads   = 1                (threads inside one run's Network::step;
-//                                     0 = hardware threads; also --sim-threads N.
-//                                     Results are bit-identical for any value;
-//                                     total threads ~= jobs x sim_threads)
-//   audit         = false            (per-cycle invariant audit; also --audit)
+//                                     0 = hardware threads. Results are
+//                                     bit-identical for any value; total
+//                                     threads ~= jobs x sim_threads)
+//   audit         = false            (per-cycle invariant audit)
 //   audit_interval= 1                (cycles between audit sweeps)
-//   telemetry     = false            (event trace + metrics; also --trace)
-//   telemetry.dir = telemetry        (output directory; also --trace-dir D)
-//   metrics_interval = 1000          (cycles/sample; also --metrics-interval N)
+//   telemetry     = false            (event trace + metrics)
+//   telemetry.dir = telemetry        (output directory)
+//   metrics_interval = 1000          (cycles/sample)
 //   telemetry.series_rows / telemetry.trace_capacity   (ring sizes)
 //   hard_faults   =                  (permanent faults: "link:NODE:P[@CYCLE],
-//                                     router:NODE[@CYCLE], ..."; also the
-//                                     --kill-link / --kill-router flags.
-//                                     Needs xy|yx|adaptive routing)
+//                                     router:NODE[@CYCLE], ...". Needs
+//                                     xy|yx|adaptive routing)
 //   injection_rate= 0.06             (synthetic workloads)
 //   packets       = 50000            (synthetic workloads)
-//   budget_pct    = 100              (PARSEC workloads)
+//   budget_pct    = 100              (PARSEC workloads; at least 1 packet)
 //   error_scale   = 1.0
-//   pretrain_cycles / warmup_cycles / step_cycles
+//   pretrain_cycles / warmup_cycles / ctrl.step_cycles
 //   rl_save       = <path>           (persist learned Q-tables after the run)
 //   rl_load       = <path>           (start from previously saved Q-tables)
 //   noc.mesh_width / noc.mesh_height / noc.vcs_per_port / ... (see NocConfig)
@@ -49,9 +56,9 @@
 //   campaign      = all | <bench1,bench2,...>
 //   policies      = crc,arq,dt,rl     (default: the paper's four)
 //   results_out   = <path>            (write the raw results TSV)
-// `jobs` (or --jobs N) sets how many (benchmark, policy) runs execute
-// concurrently; each run derives its own seed, so any value of jobs yields
-// bit-identical results.
+// `jobs` sets how many (benchmark, policy) runs execute concurrently; each
+// run derives its own seed, so any value of jobs yields bit-identical
+// results.
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -66,11 +73,6 @@
 #include "sim/results_io.h"
 #include "sim/simulator.h"
 #include "traffic/parsec.h"
-#include "traffic/trace.h"
-#include "traffic/traffic.h"
-#include "workload/generators.h"
-#include "workload/replay.h"
-#include "workload/workload.h"
 
 using namespace rlftnoc;
 
@@ -118,53 +120,70 @@ int run_campaign_mode(const Config& cfg, const SimOptions& opt) {
   return 0;
 }
 
-std::unique_ptr<TrafficGenerator> make_workload(const Config& cfg,
-                                                const SimOptions& opt) {
-  const MeshTopology topo(opt.noc);
-  if (cfg.contains("trace")) {
-    return std::make_unique<TraceTraffic>(
-        read_trace_file(cfg.get_string("trace")), opt.seed);
+// How a flag writes its config key.
+enum class FlagKind {
+  kValue,         ///< key = the flag's value
+  kSetTrue,       ///< key = true; the flag takes no value
+  kAppendLink,    ///< appends "link:<value>" to the comma list in key
+  kAppendRouter,  ///< appends "router:<value>" to the comma list in key
+};
+
+struct Flag {
+  const char* flag;
+  const char* key;
+  FlagKind kind;
+};
+
+constexpr Flag kFlags[] = {
+    {"--jobs", "jobs", FlagKind::kValue},
+    {"--sim-threads", "sim_threads", FlagKind::kValue},
+    {"--audit", "audit", FlagKind::kSetTrue},
+    {"--workload", "workload", FlagKind::kValue},
+    {"--record-workload", "record_workload", FlagKind::kValue},
+    {"--kill-link", "hard_faults", FlagKind::kAppendLink},
+    {"--kill-router", "hard_faults", FlagKind::kAppendRouter},
+    {"--trace", "telemetry", FlagKind::kSetTrue},
+    {"--trace-dir", "telemetry.dir", FlagKind::kValue},
+    {"--metrics-interval", "metrics_interval", FlagKind::kValue},
+};
+
+/// Applies argv[i] (a `--flag`, `--flag V` or `--flag=V`) to `cfg`,
+/// advancing `i` past a separate value. Throws ConfigError for an unknown
+/// flag or a missing / unexpected value.
+void apply_flag(Config& cfg, int argc, char** argv, int& i) {
+  const std::string arg = argv[i];
+  const std::size_t eq = arg.find('=');
+  const std::string name = arg.substr(0, eq);
+  const Flag* f = nullptr;
+  for (const Flag& cand : kFlags) {
+    if (name == cand.flag) f = &cand;
   }
-  const std::string w = cfg.get_string("workload", "uniform");
-  // Dependency-gated replay: a workload file or a built-in graph generator.
-  if (looks_like_workload_path(w)) {
-    return std::make_unique<WorkloadReplayTraffic>(read_workload_file(w),
-                                                   topo.num_nodes(), opt.seed);
+  if (f == nullptr) {
+    std::string known;
+    for (const Flag& cand : kFlags) known += std::string(" ") + cand.flag;
+    throw ConfigError("unknown flag '" + name + "' (flags:" + known + ")");
   }
-  if (is_builtin_workload(w)) {
-    return std::make_unique<WorkloadReplayTraffic>(
-        make_builtin_workload(w, topo, cfg, opt.seed), topo.num_nodes(),
-        opt.seed);
+  if (f->kind == FlagKind::kSetTrue) {
+    if (eq != std::string::npos) throw ConfigError(name + " takes no value");
+    cfg.set(f->key, "true");
+    return;
   }
-  for (const ParsecProfile& p : parsec_suite()) {
-    if (p.name == w) {
-      ParsecProfile prof = p;
-      prof.total_packets =
-          prof.total_packets *
-          static_cast<std::uint64_t>(cfg.get_int("budget_pct", 100)) / 100;
-      return std::make_unique<ParsecTraffic>(topo, prof, opt.seed);
-    }
+  std::string value;
+  if (eq != std::string::npos) {
+    value = arg.substr(eq + 1);
+  } else if (i + 1 < argc) {
+    value = argv[++i];
+  } else {
+    throw ConfigError(name + " needs a value");
   }
-  SyntheticTraffic::Options o;
-  o.injection_rate = cfg.get_double("injection_rate", 0.06);
-  o.total_packets = static_cast<std::uint64_t>(cfg.get_int("packets", 50000));
-  bool found = false;
-  for (const TrafficPattern pat :
-       {TrafficPattern::kUniform, TrafficPattern::kTranspose,
-        TrafficPattern::kBitComplement, TrafficPattern::kTornado,
-        TrafficPattern::kNeighbor, TrafficPattern::kBitReverse,
-        TrafficPattern::kShuffle, TrafficPattern::kHotspot}) {
-    if (w == traffic_pattern_name(pat)) {
-      o.pattern = pat;
-      found = true;
-      break;
-    }
+  if (f->kind == FlagKind::kValue) {
+    cfg.set(f->key, value);
+    return;
   }
-  if (!found)
-    throw ConfigError("unknown workload '" + w +
-                      "' (a PARSEC profile, synthetic pattern, built-in "
-                      "generator dnn|rpc|nackstorm, or workload file path)");
-  return std::make_unique<SyntheticTraffic>(topo, o, opt.seed);
+  const std::string item =
+      (f->kind == FlagKind::kAppendLink ? "link:" : "router:") + value;
+  const std::string prev = cfg.get_string(f->key, "");
+  cfg.set(f->key, prev.empty() ? item : prev + "," + item);
 }
 
 void print_result(const SimResult& r) {
@@ -219,90 +238,8 @@ int main(int argc, char** argv) {
     }
     for (int i = first_override; i < argc; ++i) {
       const std::string kv = argv[i];
-      if (kv == "--jobs") {
-        if (i + 1 >= argc) throw ConfigError("--jobs needs a value");
-        cfg.set("jobs", argv[++i]);
-        continue;
-      }
-      if (kv.rfind("--jobs=", 0) == 0) {
-        cfg.set("jobs", kv.substr(7));
-        continue;
-      }
-      if (kv == "--sim-threads") {
-        if (i + 1 >= argc) throw ConfigError("--sim-threads needs a value");
-        cfg.set("sim_threads", argv[++i]);
-        continue;
-      }
-      if (kv.rfind("--sim-threads=", 0) == 0) {
-        cfg.set("sim_threads", kv.substr(14));
-        continue;
-      }
-      if (kv == "--audit") {
-        cfg.set("audit", "true");
-        continue;
-      }
-      if (kv == "--workload") {
-        if (i + 1 >= argc) throw ConfigError("--workload needs a value");
-        cfg.set("workload", argv[++i]);
-        continue;
-      }
-      if (kv.rfind("--workload=", 0) == 0) {
-        cfg.set("workload", kv.substr(11));
-        continue;
-      }
-      if (kv == "--record-workload") {
-        if (i + 1 >= argc) throw ConfigError("--record-workload needs a path");
-        cfg.set("record_workload", argv[++i]);
-        continue;
-      }
-      if (kv.rfind("--record-workload=", 0) == 0) {
-        cfg.set("record_workload", kv.substr(18));
-        continue;
-      }
-      // --kill-link NODE:P[@CYCLE] / --kill-router NODE[@CYCLE] append to the
-      // `hard_faults` config key (same syntax, prefixed with the fault kind).
-      const auto append_fault = [&cfg](const std::string& item) {
-        const std::string prev = cfg.get_string("hard_faults", "");
-        cfg.set("hard_faults", prev.empty() ? item : prev + "," + item);
-      };
-      if (kv == "--kill-link") {
-        if (i + 1 >= argc) throw ConfigError("--kill-link needs NODE:P[@CYCLE]");
-        append_fault(std::string("link:") + argv[++i]);
-        continue;
-      }
-      if (kv.rfind("--kill-link=", 0) == 0) {
-        append_fault("link:" + kv.substr(12));
-        continue;
-      }
-      if (kv == "--kill-router") {
-        if (i + 1 >= argc) throw ConfigError("--kill-router needs NODE[@CYCLE]");
-        append_fault(std::string("router:") + argv[++i]);
-        continue;
-      }
-      if (kv.rfind("--kill-router=", 0) == 0) {
-        append_fault("router:" + kv.substr(14));
-        continue;
-      }
-      if (kv == "--trace") {
-        cfg.set("telemetry", "true");
-        continue;
-      }
-      if (kv == "--trace-dir") {
-        if (i + 1 >= argc) throw ConfigError("--trace-dir needs a value");
-        cfg.set("telemetry.dir", argv[++i]);
-        continue;
-      }
-      if (kv.rfind("--trace-dir=", 0) == 0) {
-        cfg.set("telemetry.dir", kv.substr(12));
-        continue;
-      }
-      if (kv == "--metrics-interval") {
-        if (i + 1 >= argc) throw ConfigError("--metrics-interval needs a value");
-        cfg.set("metrics_interval", argv[++i]);
-        continue;
-      }
-      if (kv.rfind("--metrics-interval=", 0) == 0) {
-        cfg.set("metrics_interval", kv.substr(19));
+      if (kv.rfind("--", 0) == 0) {
+        apply_flag(cfg, argc, argv, i);
         continue;
       }
       const auto eq = kv.find('=');
@@ -318,7 +255,9 @@ int main(int argc, char** argv) {
     // A pre-trained policy skips the synthetic pre-training phase.
     if (cfg.contains("rl_load")) opt.pretrain_cycles = 0;
 
-    auto workload = make_workload(cfg, opt);
+    auto workload = make_traffic(
+        cfg.get_string("workload", "uniform"), opt, cfg,
+        static_cast<std::uint64_t>(cfg.get_int("budget_pct", 100)));
     Simulator sim(opt);
     if (cfg.contains("rl_load")) {
       auto* rl = dynamic_cast<RlPolicy*>(&sim.policy());

@@ -516,7 +516,7 @@ void Network::merge_effects(Cycle now) {
   // Kinds with nothing staged anywhere skip their shard sweep entirely —
   // the common near-quiescent case pays a few emptiness checks only.
   bool any_acks = false, any_e2e = false, any_path = false, any_lat = false;
-  bool any_rt = false, any_nt = false, any_counters = false;
+  bool any_rt = false, any_nt = false;
   for (const StepEffects& fx : fx_) {
     any_acks |= !fx.acks.empty();
     any_e2e |= !fx.e2e.empty();
@@ -524,10 +524,6 @@ void Network::merge_effects(Cycle now) {
     any_lat |= !fx.latency_samples.empty();
     any_rt |= !fx.router_trace.empty();
     any_nt |= !fx.ni_trace.empty();
-    any_counters = any_counters ||
-                   (fx.packets_injected | fx.packets_delivered |
-                    fx.flits_delivered | fx.retx_flits_hop | fx.dup_flits |
-                    fx.crc_packet_failures) != 0;
   }
 
   if (any_rt || any_nt) {
@@ -595,7 +591,6 @@ void Network::merge_effects(Cycle now) {
   // Final pass runs unconditionally: clear_posts() must reset every shard's
   // split marks even on a trace-only merge, or a later merge could replay a
   // stale [0, split) range of an emptied vector.
-  (void)any_counters;
   for (StepEffects& fx : fx_) {
     staged_effects_merged_ +=
         fx.acks.size() + fx.e2e.size() + fx.path_credits.size();

@@ -38,6 +38,42 @@ std::string campaign_record_path(const std::string& base_path,
   return base_path.substr(0, dot) + "-" + label + base_path.substr(dot);
 }
 
+std::unique_ptr<TrafficGenerator> make_traffic(const std::string& selector,
+                                               const SimOptions& opt,
+                                               const Config& wl_cfg,
+                                               std::uint64_t budget_pct) {
+  const MeshTopology topo(opt.noc);
+  if (looks_like_workload_path(selector)) {
+    return std::make_unique<WorkloadReplayTraffic>(
+        read_workload_file(selector), topo.num_nodes(), opt.seed);
+  }
+  if (is_builtin_workload(selector)) {
+    return std::make_unique<WorkloadReplayTraffic>(
+        make_builtin_workload(selector, topo, wl_cfg, opt.seed),
+        topo.num_nodes(), opt.seed);
+  }
+  for (const ParsecProfile& p : parsec_suite()) {
+    if (p.name != selector) continue;
+    ParsecProfile profile = p;
+    // Scale the packet budget, but never to zero: an empty measured phase
+    // would yield an all-zero row that the normalized tables silently skip.
+    profile.total_packets =
+        std::max<std::uint64_t>(1, profile.total_packets * budget_pct / 100);
+    return std::make_unique<ParsecTraffic>(topo, profile, opt.seed);
+  }
+  if (const auto pattern = traffic_pattern_from_name(selector)) {
+    SyntheticTraffic::Options o;
+    o.pattern = *pattern;
+    o.injection_rate = wl_cfg.get_double("injection_rate", 0.06);
+    o.total_packets =
+        static_cast<std::uint64_t>(wl_cfg.get_int("packets", 50000));
+    return std::make_unique<SyntheticTraffic>(topo, o, opt.seed);
+  }
+  throw ConfigError("unknown workload '" + selector +
+                    "' (a workload file path, built-in generator "
+                    "dnn|rpc|nackstorm, PARSEC profile, or synthetic pattern)");
+}
+
 CampaignResults run_campaign(const SimOptions& base,
                              const std::vector<std::string>& benchmarks,
                              const std::vector<PolicyKind>& policies,
@@ -86,23 +122,8 @@ CampaignResults run_campaign(const SimOptions& base,
           campaign_record_path(base.record_workload, bench, policies[p]);
     }
 
-    const MeshTopology topo(opt.noc);
-    std::unique_ptr<TrafficGenerator> traffic;
-    if (looks_like_workload_path(bench)) {
-      traffic = std::make_unique<WorkloadReplayTraffic>(
-          read_workload_file(bench), topo.num_nodes(), opt.seed);
-    } else if (is_builtin_workload(bench)) {
-      traffic = std::make_unique<WorkloadReplayTraffic>(
-          make_builtin_workload(bench, topo, Config{}, opt.seed),
-          topo.num_nodes(), opt.seed);
-    } else {
-      ParsecProfile profile = parsec_profile(bench);
-      // Scale the packet budget, but never to zero: an empty measured phase
-      // would yield an all-zero row that the normalized tables silently skip.
-      profile.total_packets = std::max<std::uint64_t>(
-          1, profile.total_packets * packet_budget_scale_pct / 100);
-      traffic = std::make_unique<ParsecTraffic>(topo, profile, opt.seed);
-    }
+    const auto traffic =
+        make_traffic(bench, opt, Config{}, packet_budget_scale_pct);
     Simulator sim(opt);
     SimResult res = sim.run(*traffic);
     {

@@ -4,11 +4,14 @@
 
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/config.h"
 #include "sim/simulator.h"
 #include "traffic/parsec.h"
+#include "traffic/traffic.h"
 
 namespace rlftnoc {
 
@@ -34,6 +37,23 @@ using MetricFn = std::function<double(const SimResult&)>;
 std::uint64_t campaign_run_seed(std::uint64_t base_seed,
                                 const std::string& benchmark, PolicyKind pol);
 
+/// Builds the traffic a workload selector names, on the topology of
+/// `opt.noc` and seeded with `opt.seed`. The one resolver shared by
+/// rlftnoc_run and run_campaign; the first matching kind wins:
+///  1. workload file (looks_like_workload_path): any read_workload encoding,
+///     legacy packet traces included, replayed with dependency gating;
+///  2. built-in generator ("dnn", "rpc", "nackstorm"), options from the
+///     `wl.*` keys of `wl_cfg`;
+///  3. PARSEC profile, its packet budget scaled by `budget_pct` and clamped
+///     to at least one packet;
+///  4. synthetic pattern (traffic_pattern_from_name) with `injection_rate`
+///     and `packets` from `wl_cfg`.
+/// Throws ConfigError listing the four kinds for any other selector.
+std::unique_ptr<TrafficGenerator> make_traffic(const std::string& selector,
+                                               const SimOptions& opt,
+                                               const Config& wl_cfg,
+                                               std::uint64_t budget_pct);
+
 /// Runs every (benchmark, policy) pair, `base.jobs` configurations at a
 /// time (1 = serial, 0 = one job per hardware thread). Each job derives its
 /// seed via campaign_run_seed() and writes into its own results slot, so
@@ -42,11 +62,10 @@ std::uint64_t campaign_run_seed(std::uint64_t base_seed,
 /// warm-up phase lengths together. Progress lines go to stderr, one
 /// complete line per finished run.
 ///
-/// Benchmark entries may be PARSEC profile names, rlftnoc-workload-v1 file
-/// paths (looks_like_workload_path), or built-in workload generator names
-/// ("dnn", "rpc", "nackstorm" with default options) — the latter two run
-/// through the dependency-gated replay engine, whose transfer graph is its
-/// own budget (packet_budget_scale_pct does not scale it). When
+/// Benchmark entries are any make_traffic selector, resolved with an empty
+/// Config (generator and synthetic defaults). Workload files and built-in
+/// generators run through the dependency-gated replay engine, whose transfer
+/// graph is its own budget (packet_budget_scale_pct does not scale it). When
 /// `base.record_workload` is set, each run captures into a derived path
 /// with "-<benchmark>_<policy>" inserted before the extension.
 CampaignResults run_campaign(const SimOptions& base,

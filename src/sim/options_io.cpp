@@ -16,6 +16,19 @@ PolicyKind policy_from_string(const std::string& s) {
 }
 
 SimOptions sim_options_from_config(const Config& cfg) {
+  // Retired keys fail loudly: Config accepts any key, so an old config that
+  // still sets one would otherwise run silently without it.
+  static constexpr struct {
+    const char* key;
+    const char* replacement;
+  } kRetired[] = {{"trace", "workload=<file>"},
+                  {"step_cycles", "ctrl.step_cycles"}};
+  for (const auto& r : kRetired) {
+    if (cfg.contains(r.key)) {
+      throw ConfigError(std::string("key '") + r.key +
+                        "' is no longer supported: use " + r.replacement);
+    }
+  }
   SimOptions opt;
   opt.noc = NocConfig::from_config(cfg);
   if (cfg.contains("policy")) opt.policy = policy_from_string(cfg.get_string("policy"));
@@ -58,7 +71,7 @@ SimOptions sim_options_from_config(const Config& cfg) {
   opt.rl_shared_table = cfg.get_bool("rl_shared_table", opt.rl_shared_table);
 
   // telemetry.* (see src/telemetry): `telemetry` switches the subsystem on
-  // (the CLI spells it --trace; the key `trace` is taken by trace replay).
+  // (the CLI spells it --trace).
   opt.telemetry.enabled = cfg.get_bool("telemetry", opt.telemetry.enabled);
   opt.telemetry.out_dir = cfg.get_string("telemetry.dir", opt.telemetry.out_dir);
   opt.telemetry.metrics_interval = static_cast<Cycle>(cfg.get_int(
@@ -85,10 +98,6 @@ SimOptions sim_options_from_config(const Config& cfg) {
   opt.controller.step_cycles = static_cast<Cycle>(cfg.get_int(
       "ctrl.step_cycles",
       static_cast<std::int64_t>(opt.controller.step_cycles)));
-  if (cfg.contains("step_cycles")) {  // legacy spelling used by the CLI docs
-    opt.controller.step_cycles =
-        static_cast<Cycle>(cfg.get_int("step_cycles"));
-  }
   opt.controller.voltage = cfg.get_double("ctrl.voltage", opt.controller.voltage);
   opt.controller.faults_enabled =
       cfg.get_bool("ctrl.faults_enabled", opt.controller.faults_enabled);

@@ -5,7 +5,8 @@
 // error_scale, phase lengths), `noc.*` (NocConfig::from_config), `rl.*` (Q-learning
 // hyper-parameters), `ctrl.*` (controller/coupling), `varius.*`,
 // `thermal.*`, `power.leak_*`. Unknown keys are ignored by design — the
-// caller owns workload keys etc.
+// caller owns workload keys etc. — except the retired `trace` and
+// `step_cycles` keys, which throw ConfigError naming their replacement.
 #pragma once
 
 #include "common/config.h"
@@ -14,8 +15,8 @@
 namespace rlftnoc {
 
 /// Builds SimOptions from a flat Config; missing keys keep defaults,
-/// malformed values throw ConfigError, out-of-range structural parameters
-/// throw std::invalid_argument (NocConfig::validate).
+/// malformed values and retired keys throw ConfigError, out-of-range
+/// structural parameters throw std::invalid_argument (NocConfig::validate).
 SimOptions sim_options_from_config(const Config& cfg);
 
 /// Parses a policy spelling ("crc" | "arq" | "dt" | "rl" | "oracle", or the

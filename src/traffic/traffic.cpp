@@ -22,6 +22,14 @@ const char* traffic_pattern_name(TrafficPattern p) noexcept {
   return "?";
 }
 
+std::optional<TrafficPattern> traffic_pattern_from_name(const std::string& name) {
+  for (int i = 0; i <= static_cast<int>(TrafficPattern::kHotspot); ++i) {
+    const auto p = static_cast<TrafficPattern>(i);
+    if (name == traffic_pattern_name(p)) return p;
+  }
+  return std::nullopt;
+}
+
 NodeId pattern_destination(TrafficPattern p, NodeId src, const MeshTopology& topo) {
   const int n = topo.num_nodes();
   const Coord c = topo.coord(src);

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,8 @@ enum class TrafficPattern : std::uint8_t {
 };
 
 const char* traffic_pattern_name(TrafficPattern p) noexcept;
+/// Inverse of traffic_pattern_name; nullopt for any other string.
+std::optional<TrafficPattern> traffic_pattern_from_name(const std::string& name);
 
 /// Resolves the destination for `src` under a pattern (hotspot handled by
 /// the generator itself since it needs randomness).

@@ -442,6 +442,67 @@ std::string workload_to_binary(const Workload& wl) {
   return out;
 }
 
+// --------------------------------------------------------------------------
+// Legacy packet-trace import (read-only): one `cycle src dst len` record per
+// line, sorted by cycle, '#' comments. Each record becomes a dependency-free
+// transfer, so a trace replays as an open-loop workload.
+// --------------------------------------------------------------------------
+
+/// True when the first non-whitespace character of `text` is a digit or '#'.
+bool looks_like_legacy_trace(const std::string& text) {
+  const std::size_t p = text.find_first_not_of(" \t\r\n");
+  return p != std::string::npos &&
+         ((text[p] >= '0' && text[p] <= '9') || text[p] == '#');
+}
+
+Workload read_legacy_trace(const std::string& text) {
+  Workload wl;
+  wl.name = "trace";
+  std::istringstream in(text);
+  std::string line;
+  std::size_t line_no = 0;
+  Cycle prev = 0;
+  while (std::getline(in, line)) {
+    ++line_no;
+    const auto hash = line.find('#');
+    if (hash != std::string::npos) line.resize(hash);
+    if (line.find_first_not_of(" \t\r") == std::string::npos)
+      continue;  // blank / comment-only line
+    std::istringstream ls(line);
+    WorkloadTransfer t;
+    // A line with content must parse as exactly 'cycle src dst len'. On a
+    // field that fails, re-extract it as a string so the error can quote the
+    // offending token instead of silently skipping the line (which used to
+    // hide typos like 'cycel 0 5 1' as if the line were a comment).
+    const auto fail = [&](const char* field) -> WorkloadError {
+      ls.clear();
+      std::string token;
+      if (!(ls >> token)) token = "<end of line>";
+      return WorkloadError("trace line " + std::to_string(line_no) +
+                           ": expected " + field + ", got '" + token + "'");
+    };
+    if (!(ls >> t.earliest_cycle)) throw fail("cycle");
+    if (!(ls >> t.src)) throw fail("src");
+    if (!(ls >> t.dst)) throw fail("dst");
+    if (!(ls >> t.len)) throw fail("len");
+    std::string trailing;
+    if (ls >> trailing)
+      throw WorkloadError("trace line " + std::to_string(line_no) +
+                          ": trailing token '" + trailing +
+                          "' after 'cycle src dst len'");
+    if (t.earliest_cycle < prev)
+      throw WorkloadError("trace line " + std::to_string(line_no) +
+                          ": cycles not sorted");
+    if (t.len < 1)
+      throw WorkloadError("trace line " + std::to_string(line_no) +
+                          ": non-positive packet length");
+    prev = t.earliest_cycle;
+    t.id = wl.transfers.size() + 1;
+    wl.transfers.push_back(std::move(t));
+  }
+  return wl;
+}
+
 }  // namespace
 
 std::string workload_to_json(const Workload& wl) {
@@ -496,6 +557,7 @@ Workload read_workload(std::istream& in) {
       text.compare(0, kMagicLen, kWorkloadBinaryMagic) == 0) {
     return BinaryReader(text).read();
   }
+  if (looks_like_legacy_trace(text)) return read_legacy_trace(text);
   return JsonReader(text).read();
 }
 

@@ -6,7 +6,7 @@
 // list of transfer ids it depends on. The replay engine (workload/replay.h)
 // holds a transfer until every dependency's end-to-end completion has been
 // observed through the network's packet-resolution feed (noc/completion.h),
-// turning the open-loop trace formats of src/traffic into closed-loop,
+// so one format covers both open-loop traces (no deps) and closed-loop,
 // tt-npe-style workloads.
 //
 // On-disk encodings:
@@ -17,8 +17,14 @@
 //    identity on bytes.
 //  * Binary (compact variant): magic "RLWKBIN1" followed by explicitly
 //    little-endian fixed-width fields; ~4-8x smaller for recorder output of
-//    long runs. read_workload sniffs the magic, so loaders never need to be
-//    told which encoding a file uses.
+//    long runs.
+//  * Legacy packet trace (read-only import): one `cycle src dst len` record
+//    per line, sorted by cycle, '#' comments. Record k (1-based) becomes
+//    transfer id k with earliest_cycle = cycle and no deps; the workload is
+//    named "trace". write_workload never emits this encoding.
+// read_workload sniffs the encoding (binary magic; else a first significant
+// character that is a digit or '#' means legacy trace; else JSON), so
+// loaders never need to be told which encoding a file uses.
 #pragma once
 
 #include <cstdint>
@@ -77,8 +83,9 @@ class WorkloadError : public std::runtime_error {
 /// well-formed DAG ready for replay.
 void validate_workload(const Workload& wl, int num_nodes);
 
-/// Reads either encoding (binary when the stream starts with the magic,
-/// JSON otherwise). Throws WorkloadError with line/token context on parse
+/// Reads any encoding (binary when the stream starts with the magic, legacy
+/// trace when its first significant character is a digit or '#', JSON
+/// otherwise). Throws WorkloadError with line/token context on parse
 /// failure. Performs structural decoding only — run validate_workload for
 /// graph-level checks.
 Workload read_workload(std::istream& in);
@@ -102,8 +109,8 @@ std::string workload_to_json(const Workload& wl);
 
 /// True when a workload selector string names a workload *file* rather than
 /// a generator: any path-looking value (contains '/') or a .json / .wkb
-/// suffix. Shared by the CLI and the campaign runner so both resolve
-/// selectors identically.
+/// suffix. The first test of make_traffic (sim/campaign.h), the resolver
+/// the CLI and the campaign runner share.
 bool looks_like_workload_path(const std::string& selector);
 
 }  // namespace rlftnoc

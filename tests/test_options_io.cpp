@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "traffic/traffic.h"
 
 namespace rlftnoc {
@@ -125,6 +127,26 @@ TEST(OptionsIo, HardFaultsRejectWestfirstRouting) {
     hard_faults = link:5:E
   )");
   EXPECT_THROW(sim_options_from_config(cfg), ConfigError);
+}
+
+TEST(OptionsIo, RetiredKeysThrowNamingTheirReplacement) {
+  const auto message_for = [](const char* key, const char* value) {
+    Config cfg;
+    cfg.set(key, value);
+    try {
+      sim_options_from_config(cfg);
+    } catch (const ConfigError& e) {
+      return std::string(e.what());
+    }
+    ADD_FAILURE() << "expected ConfigError for key " << key;
+    return std::string();
+  };
+  const std::string trace = message_for("trace", "old.trace");
+  EXPECT_NE(trace.find("'trace'"), std::string::npos) << trace;
+  EXPECT_NE(trace.find("use workload=<file>"), std::string::npos) << trace;
+  const std::string step = message_for("step_cycles", "250");
+  EXPECT_NE(step.find("'step_cycles'"), std::string::npos) << step;
+  EXPECT_NE(step.find("use ctrl.step_cycles"), std::string::npos) << step;
 }
 
 TEST(OptionsIo, InvalidStructuralValueThrows) {

@@ -173,6 +173,131 @@ TEST(WorkloadFormat, PathSelectorHeuristic) {
 }
 
 // ---------------------------------------------------------------------------
+// Legacy packet-trace import (`cycle src dst len` text, read-only)
+// ---------------------------------------------------------------------------
+
+Workload read_text(const std::string& text) {
+  std::istringstream in(text);
+  return read_workload(in);
+}
+
+TEST(WorkloadFormat, LegacyTraceRoundTripsToTransfers) {
+  const Workload wl = read_text(
+      "# rlftnoc packet trace: cycle src dst len\n"
+      "0 1 2 4\n5 3 4 1\n5 0 7 4\n12 6 1 2\n");
+  Workload want;
+  want.name = "trace";
+  want.transfers = {transfer(1, 1, 2, 4, 0), transfer(2, 3, 4, 1, 5),
+                    transfer(3, 0, 7, 4, 5), transfer(4, 6, 1, 2, 12)};
+  EXPECT_EQ(wl, want);
+  // The import is a plain workload: it round-trips through the canonical
+  // encodings like any other.
+  EXPECT_EQ(read_text(workload_to_json(wl)), wl);
+  const std::string path =
+      (std::filesystem::path(testing::TempDir()) / "legacy.trace").string();
+  std::ofstream(path) << "0 1 2 4\n5 3 4 1\n5 0 7 4\n12 6 1 2\n";
+  EXPECT_EQ(read_workload_file(path), want);
+}
+
+TEST(WorkloadFormat, LegacyTraceRejectsMalformedInput) {
+  std::string msg = expect_workload_error([] { read_text("5 0 1 4\n2 0 1 4\n"); });
+  EXPECT_NE(msg.find("trace line 2: cycles not sorted"), std::string::npos)
+      << msg;
+  msg = expect_workload_error([] { read_text("5 0\n"); });
+  EXPECT_NE(msg.find("trace line 1: expected dst, got '<end of line>'"),
+            std::string::npos)
+      << msg;
+  msg = expect_workload_error([] { read_text("5 0 1 0\n"); });
+  EXPECT_NE(msg.find("trace line 1: non-positive packet length"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(WorkloadFormat, LegacyTraceErrorsNameLineAndOffendingToken) {
+  // A garbage token must raise an error quoting line number and token, not
+  // be skipped as if the line were a comment.
+  std::string msg =
+      expect_workload_error([] { read_text("1 0 1 4\ncycel 0 5 1\n"); });
+  EXPECT_NE(msg.find("trace line 2: expected cycle, got 'cycel'"),
+            std::string::npos)
+      << msg;
+  // Missing fields report which field was expected.
+  msg = expect_workload_error([] { read_text("7 3\n"); });
+  EXPECT_NE(msg.find("line 1"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("dst"), std::string::npos) << msg;
+  // Extra fields are an error too, naming the trailing token.
+  msg = expect_workload_error([] { read_text("7 3 4 1 bogus\n"); });
+  EXPECT_NE(msg.find("trailing token 'bogus' after 'cycle src dst len'"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(WorkloadFormat, LegacyTraceSkipsCommentsAndBlanks) {
+  const Workload wl = read_text("# header\n\n1 0 1 4 # inline\n");
+  ASSERT_EQ(wl.transfers.size(), 1u);
+  EXPECT_EQ(wl.transfers[0], transfer(1, 0, 1, 4, 1));
+  // Leading blank lines do not hide the encoding from the sniffer.
+  EXPECT_EQ(read_text("\n  \n 3 0 1 1\n").transfers.size(), 1u);
+}
+
+TEST(WorkloadFormat, LegacyTraceSelfSendIsRejected) {
+  const Workload wl = read_text("0 0 1 1\n4 2 2 1\n");
+  const std::string msg =
+      expect_workload_error([&] { validate_workload(wl, 4); });
+  EXPECT_NE(msg.find("transfer id 2: self-transfer"), std::string::npos)
+      << msg;
+  EXPECT_THROW(WorkloadReplayTraffic(wl, 4, 3), WorkloadError);
+}
+
+const char* const kLegacyTrace = "0 0 1 1\n10 1 2 3\n10 2 3 1\n20 3 0 2\n";
+
+/// Ticks a replay of kLegacyTrace over [first, first + 30].
+std::vector<Packet> replay_legacy_from(Cycle first) {
+  WorkloadReplayTraffic gen(read_text(kLegacyTrace), 4, /*seed=*/3);
+  std::vector<Packet> out;
+  for (Cycle t = first; t <= first + 30; ++t) gen.tick(t, out);
+  EXPECT_TRUE(gen.exhausted());
+  return out;
+}
+
+TEST(WorkloadFormat, LegacyTraceReplayFromCycleZeroEmitsItsRecords) {
+  const Workload wl = read_text(kLegacyTrace);
+  const std::vector<Packet> out = replay_legacy_from(0);
+  ASSERT_EQ(out.size(), wl.transfers.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const WorkloadTransfer& t = wl.transfers[i];
+    EXPECT_EQ(out[i].id, i + 1);
+    EXPECT_EQ(out[i].src, t.src);
+    EXPECT_EQ(out[i].dst, t.dst);
+    EXPECT_EQ(out[i].flits.size(), static_cast<std::size_t>(t.len));
+    EXPECT_EQ(out[i].inject_cycle, t.earliest_cycle);
+  }
+}
+
+TEST(WorkloadFormat, LegacyTraceCyclesAreRelativeToTheFirstTick) {
+  const Workload wl = read_text(kLegacyTrace);
+  const std::vector<Packet> out = replay_legacy_from(500);
+  ASSERT_EQ(out.size(), wl.transfers.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].id, i + 1);
+    EXPECT_EQ(out[i].inject_cycle,
+              500 + wl.transfers[i].earliest_cycle);
+  }
+}
+
+TEST(WorkloadFormat, LegacyTraceLateTickDeliversBacklog) {
+  WorkloadReplayTraffic gen(read_text("0 0 1 1\n10 1 2 1\n20 2 3 1\n"), 4,
+                            /*seed=*/1);
+  std::vector<Packet> out;
+  gen.tick(0, out);
+  EXPECT_EQ(out.size(), 1u);
+  gen.tick(15, out);  // catches up the record at cycle 10
+  EXPECT_EQ(out.size(), 2u);
+  gen.tick(25, out);
+  EXPECT_EQ(out.size(), 3u);
+}
+
+// ---------------------------------------------------------------------------
 // Static validation
 // ---------------------------------------------------------------------------
 
