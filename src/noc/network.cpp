@@ -238,8 +238,8 @@ void Network::corrupt_on_wire(NodeId node, Port p, Flit& flit, bool relaxed,
 
 void Network::add_path_latency(NodeId src, NodeId dst, double latency_cycles) {
   // Walk the active routing policy's committed path and credit every
-  // traversed router. Each hop is one LUT load plus an add; the hop bound
-  // keeps a (transiently) inconsistent post-fault LUT from hanging the walk.
+  // traversed router. Each hop is one route_raw() plus an add; the hop bound
+  // keeps (transiently) inconsistent post-fault routes from hanging the walk.
   NodeId cur = src;
   latency_window_[static_cast<std::size_t>(cur)].add(latency_cycles);
   int hops = 0;

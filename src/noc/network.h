@@ -228,7 +228,8 @@ class Network {
   }
 
   /// Credits a delivered packet's end-to-end latency to every router on its
-  /// X-Y path (the paper's per-router "E2E_Latency(i)" reward term).
+  /// route under the active routing policy (X-Y in the paper), which is the
+  /// paper's per-router "E2E_Latency(i)" reward term.
   void add_path_latency(NodeId src, NodeId dst, double latency_cycles);
 
   /// Window accumulator of latencies credited to `node` (reset each control

@@ -1,3 +1,4 @@
+// rlftnoc-lint: hot-path (per-cycle step path: R4 bans node-allocating containers and .at())
 #include "noc/routing.h"
 
 #include <algorithm>
@@ -9,58 +10,26 @@ namespace {
 
 constexpr int kInf = 1 << 29;
 
-/// Dimension-ordered step along X: on a torus the shorter ring direction
-/// wins (tie -> East, so even rings stay deterministic); on a mesh a plain
-/// coordinate compare.
-Port dor_step_x(const Topology& t, const Coord& c, const Coord& d) {
-  if (t.kind() == TopologyKind::kTorus) {
-    const int w = t.width();
-    const int east = (d.x - c.x + w) % w;
-    const int west = (c.x - d.x + w) % w;
-    return east <= west ? Port::kEast : Port::kWest;
-  }
-  return c.x < d.x ? Port::kEast : Port::kWest;
-}
-
-Port dor_step_y(const Topology& t, const Coord& c, const Coord& d) {
-  if (t.kind() == TopologyKind::kTorus) {
-    const int h = t.height();
-    const int north = (d.y - c.y + h) % h;
-    const int south = (c.y - d.y + h) % h;
-    return north <= south ? Port::kNorth : Port::kSouth;
-  }
-  return c.y < d.y ? Port::kNorth : Port::kSouth;
-}
-
-Port dor_port(const Topology& t, NodeId cur, NodeId dst, bool x_first) {
-  const Coord c = t.coord(cur);
-  const Coord d = t.coord(dst);
-  if (x_first) {
-    if (c.x != d.x) return dor_step_x(t, c, d);
-    if (c.y != d.y) return dor_step_y(t, c, d);
-  } else {
-    if (c.y != d.y) return dor_step_y(t, c, d);
-    if (c.x != d.x) return dor_step_x(t, c, d);
-  }
-  return Port::kLocal;
-}
-
-/// Fills `lut` with the structural DOR port, then invalidates every entry
-/// whose (deterministic, single-path) route crosses a dead link or dead
-/// router. Reachability of each node toward a fixed dst is memoized, so the
+/// Fault-free: leaves `lut` empty, so the topology routes every pair from
+/// its per-dimension tables. Faulted: fills `lut` with the same structural
+/// dimension-ordered port, then invalidates every entry whose
+/// (deterministic, single-path) route crosses a dead link or dead router.
+/// Reachability of each node toward a fixed dst is memoized, so the
 /// post-pass is O(nodes) per destination.
 void build_dor_lut(const Topology& t, std::vector<std::uint8_t>& lut,
                    bool x_first) {
+  if (!t.has_faults()) {
+    lut.clear();
+    return;
+  }
   const int n = t.num_nodes();
   const auto nn = static_cast<std::size_t>(n);
-  lut.assign(nn * nn, Topology::kUnreachable);
+  lut.resize(nn * nn);
   for (NodeId cur = 0; cur < n; ++cur) {
     std::uint8_t* row = lut.data() + static_cast<std::size_t>(cur) * nn;
     for (NodeId dst = 0; dst < n; ++dst)
-      row[dst] = static_cast<std::uint8_t>(
-          port_index(dor_port(t, cur, dst, x_first)));
+      row[dst] = t.dor_route(cur, dst, x_first);
   }
-  if (!t.has_faults()) return;
 
   // 0 = unknown, 1 = route intact, 2 = route severed.
   std::vector<std::uint8_t> status(nn);
@@ -112,7 +81,7 @@ class YxPolicy final : public RoutingPolicy {
   }
 };
 
-/// West-first keeps the XY LUT (used for credit walks and as the
+/// West-first keeps XY routes (used for credit walks and as the
 /// deterministic fallback); its adaptive candidates are computed inline in
 /// route_candidates. Mesh-only and fault-free by configuration.
 class WestFirstPolicy final : public RoutingPolicy {
@@ -311,22 +280,19 @@ int route_candidates(RoutingAlgorithm alg, const Topology& topo, NodeId cur,
     return n;
   }
   if (alg == topo.routing()) {
-    // The topology's LUT was built by this policy (and reflects any hard
-    // faults), so the committed next hop is one load away.
+    // The topology's routes were built by this policy (and reflect any hard
+    // faults after a rebuild), so the committed next hop is a few loads away.
     const std::uint8_t r = topo.route_raw(cur, dst);
     if (r == Topology::kUnreachable) return 0;
     candidates[0] = static_cast<Port>(r);
     return 1;
   }
   // Algorithm differs from the topology's configured policy (tests probing
-  // several algorithms against one topology): compute dimension-ordered
-  // routing structurally. Only valid fault-free — routers always query with
+  // several algorithms against one topology): structural dimension-ordered
+  // routing. Only valid fault-free — routers always query with
   // alg == topo.routing(), so the fault-adaptive path above covers them.
-  if (cur == dst) {
-    candidates[0] = Port::kLocal;
-    return 1;
-  }
-  candidates[0] = dor_port(topo, cur, dst, /*x_first=*/alg != RoutingAlgorithm::kYX);
+  candidates[0] = static_cast<Port>(
+      topo.dor_route(cur, dst, /*x_first=*/alg != RoutingAlgorithm::kYX));
   return 1;
 }
 

@@ -4,9 +4,11 @@
 // computation behind a RoutingPolicy interface so the substrate can also run
 // Y-X, the west-first partially adaptive turn model (Glass & Ni), and a
 // fault-adaptive up*/down* policy. A policy's job is to (re)build the
-// Topology's flat next-hop LUT for the current alive subgraph — virtual
-// dispatch happens only at (re)build time, never per flit; steady-state route
-// computation stays one table load (route_candidates below).
+// Topology's per-pair route table for the current alive subgraph, or to leave
+// it empty when the Topology's per-dimension tables already answer every pair
+// (fault-free xy, yx, west-first) — virtual dispatch happens only at
+// (re)build time, never per flit; steady-state route computation stays a few
+// table loads (route_candidates below).
 //
 // Deadlock freedom:
 //  * xy / yx on a mesh: dimension order forbids the second-dimension ->
@@ -45,14 +47,16 @@
 
 namespace rlftnoc {
 
-/// Builds the per-(cur, dst) next-hop LUT for a topology's alive subgraph.
+/// Builds the per-(cur, dst) route table for a topology's alive subgraph.
 /// Stateless; one shared instance per algorithm (routing_policy_for).
 class RoutingPolicy {
  public:
   virtual ~RoutingPolicy() = default;
   virtual const char* name() const noexcept = 0;
   /// Fills `lut` ([cur * num_nodes + dst] -> port_index or
-  /// Topology::kUnreachable) for the current fault state of `topo`.
+  /// Topology::kUnreachable) for the current fault state of `topo`. The
+  /// dimension-ordered policies empty it instead while `topo` has no
+  /// faults: Topology::dor_route() then answers every pair.
   virtual void build_lut(const Topology& topo,
                          std::vector<std::uint8_t>& lut) const = 0;
 };

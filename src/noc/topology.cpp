@@ -6,10 +6,36 @@
 #include "noc/routing.h"
 
 namespace rlftnoc {
+namespace {
+
+/// The [c * size + d] -> port_index table of one dimension (`up` increases
+/// the coordinate, `down` decreases it; kLocal when c == d). On a torus the
+/// shorter ring direction wins (tie -> up, so even rings stay
+/// deterministic); on a mesh a plain compare.
+std::vector<std::uint8_t> dimension_table(int size, bool torus, Port up,
+                                          Port down) {
+  std::vector<std::uint8_t> table;
+  table.reserve(static_cast<std::size_t>(size) * static_cast<std::size_t>(size));
+  for (int c = 0; c < size; ++c) {
+    for (int d = 0; d < size; ++d) {
+      const bool go_up =
+          torus ? (d - c + size) % size <= (c - d + size) % size : c < d;
+      const Port p = c == d ? Port::kLocal : go_up ? up : down;
+      table.push_back(static_cast<std::uint8_t>(port_index(p)));
+    }
+  }
+  return table;
+}
+
+}  // namespace
 
 Topology::Topology(TopologyKind kind, int width, int height,
                    RoutingAlgorithm routing)
-    : kind_(kind), width_(width), height_(height), routing_(routing) {
+    : kind_(kind),
+      width_(width),
+      height_(height),
+      routing_(routing),
+      x_first_(routing != RoutingAlgorithm::kYX) {
   if (width <= 0 || height <= 0)
     throw std::invalid_argument(
         "Topology: dimensions must be positive (got " + std::to_string(width) +
@@ -27,9 +53,13 @@ void Topology::build_structure() {
   nbr_.assign(n * kNumPorts, kInvalidNode);
   link_alive_.assign(n * kNumPorts, 0);
   router_alive_.assign(n, 1);
+  xy_.resize(n);
   const bool torus = kind_ == TopologyKind::kTorus;
+  x_port_ = dimension_table(width_, torus, Port::kEast, Port::kWest);
+  y_port_ = dimension_table(height_, torus, Port::kNorth, Port::kSouth);
   for (NodeId id = 0; id < num_nodes(); ++id) {
     const Coord c = coord(id);
+    xy_[static_cast<std::size_t>(id)] = c;
     NodeId* row = nbr_.data() + static_cast<std::size_t>(id) * kNumPorts;
     row[port_index(Port::kNorth)] =
         c.y + 1 < height_ ? node(c.x, c.y + 1) : torus ? node(c.x, 0) : kInvalidNode;
@@ -75,7 +105,7 @@ bool Topology::kill_router(NodeId n) {
 }
 
 void Topology::rebuild_routes() {
-  routing_policy_for(routing_).build_lut(*this, next_hop_);
+  routing_policy_for(routing_).build_lut(*this, pair_route_);
 }
 
 }  // namespace rlftnoc

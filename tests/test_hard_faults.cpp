@@ -1,4 +1,4 @@
-// Hard (permanent) faults: spec parsing, fault-adaptive route-LUT rebuild,
+// Hard (permanent) faults: spec parsing, fault-adaptive route rebuild,
 // audited end-to-end runs over dead links/routers, and the determinism
 // contract (bit-identical results for any sim_threads) under mid-run kills.
 #include "fault/hard_faults.h"
@@ -69,7 +69,7 @@ TEST(ParseHardFaults, MalformedSpecsThrow) {
 
 // ------------------------------------------------------------ LUT rebuild
 
-/// Walks the route LUT from src to dst; returns hops or -1 on a severed or
+/// Walks the topology's routes from src to dst; returns hops or -1 on a severed or
 /// cyclic walk. `banned` (node, port) must never be traversed.
 int walk_route(const Topology& t, NodeId src, NodeId dst, NodeId banned_node,
                Port banned_port) {
@@ -142,6 +142,77 @@ TEST(DorRouting, SeveredXyPairsAreUnreachableNotMisrouted) {
   ASSERT_GT(walk_route(t, t.node(1, 0), t.node(1, 3), t.node(1, 1),
                        Port::kEast),
             0);
+}
+
+/// Dimension-ordered (x first) path from src to dst on the fault-free
+/// structure, derived from coordinates: the first entry is src, the last
+/// dst.
+std::vector<NodeId> reference_xy_path(const Topology& t, NodeId src,
+                                      NodeId dst) {
+  const bool torus = t.kind() == TopologyKind::kTorus;
+  const auto step = [torus](int c, int d, int size) {
+    if (!torus) return c < d ? 1 : -1;
+    const int forward = ((d - c) % size + size) % size;
+    return forward <= size - forward ? 1 : -1;
+  };
+  std::vector<NodeId> path{src};
+  int x = src % t.width(), y = src / t.width();
+  const int dx = dst % t.width(), dy = dst / t.width();
+  while (x != dx) {
+    x = (x + step(x, dx, t.width()) + t.width()) % t.width();
+    path.push_back(t.node(x, y));
+  }
+  while (y != dy) {
+    y = (y + step(y, dy, t.height()) + t.height()) % t.height();
+    path.push_back(t.node(x, y));
+  }
+  return path;
+}
+
+/// The port from `a` to its structural neighbour `b`.
+Port port_toward(const Topology& t, NodeId a, NodeId b) {
+  for (const Port p : kAllPorts)
+    if (p != Port::kLocal && t.neighbor(a, p) == b) return p;
+  return Port::kLocal;
+}
+
+TEST(DorRouting, FaultedXyMatchesReferenceExceptSeveredPairs) {
+  for (const TopologyKind kind : {TopologyKind::kMesh, TopologyKind::kTorus}) {
+    Topology t(kind, 5, 4, RoutingAlgorithm::kXY);
+    const NodeId a = t.node(2, 1);
+    const NodeId b = t.neighbor(a, Port::kEast);
+    ASSERT_TRUE(t.kill_link(a, Port::kEast));
+    // Routes change only at a rebuild: until then the killed link is still
+    // on the fault-free routes.
+    for (NodeId src = 0; src < t.num_nodes(); ++src)
+      for (NodeId dst = 0; dst < t.num_nodes(); ++dst)
+        ASSERT_TRUE(t.reachable(src, dst));
+    t.rebuild_routes();
+
+    int severed = 0;
+    for (NodeId src = 0; src < t.num_nodes(); ++src) {
+      for (NodeId dst = 0; dst < t.num_nodes(); ++dst) {
+        const std::vector<NodeId> path = reference_xy_path(t, src, dst);
+        bool crosses = false;
+        for (std::size_t i = 0; i + 1 < path.size(); ++i)
+          crosses |= (path[i] == a && path[i + 1] == b) ||
+                     (path[i] == b && path[i + 1] == a);
+        severed += crosses ? 1 : 0;
+        ASSERT_EQ(t.reachable(src, dst), !crosses) << src << " -> " << dst;
+        if (crosses) continue;
+        const Port expected = path.size() > 1
+                                  ? port_toward(t, src, path[1])
+                                  : Port::kLocal;
+        ASSERT_EQ(t.route(src, dst), expected) << src << " -> " << dst;
+      }
+    }
+    EXPECT_GT(severed, 0);
+
+    const Topology copy = t;
+    for (NodeId src = 0; src < t.num_nodes(); ++src)
+      for (NodeId dst = 0; dst < t.num_nodes(); ++dst)
+        ASSERT_EQ(copy.route_raw(src, dst), t.route_raw(src, dst));
+  }
 }
 
 // -------------------------------------------------- network-level checks

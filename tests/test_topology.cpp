@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <stdexcept>
 #include <tuple>
+#include <vector>
+
+#include "noc/routing.h"
 
 namespace rlftnoc {
 namespace {
@@ -65,20 +69,20 @@ TEST(Topology, DistanceProperties) {
 TEST(Topology, RouteToSelfIsLocal) {
   const MeshTopology t(4, 4);
   for (NodeId n = 0; n < t.num_nodes(); ++n) {
-    EXPECT_EQ(t.xy_route(n, n), Port::kLocal);
+    EXPECT_EQ(t.route(n, n), Port::kLocal);
   }
 }
 
 TEST(Topology, XyRoutesXFirst) {
   const MeshTopology t(4, 4);
   // From (0,0) to (2,3): must go East until x matches.
-  EXPECT_EQ(t.xy_route(t.node(0, 0), t.node(2, 3)), Port::kEast);
-  EXPECT_EQ(t.xy_route(t.node(2, 0), t.node(2, 3)), Port::kNorth);
-  EXPECT_EQ(t.xy_route(t.node(3, 3), t.node(2, 3)), Port::kWest);
-  EXPECT_EQ(t.xy_route(t.node(2, 3), t.node(2, 1)), Port::kSouth);
+  EXPECT_EQ(t.route(t.node(0, 0), t.node(2, 3)), Port::kEast);
+  EXPECT_EQ(t.route(t.node(2, 0), t.node(2, 3)), Port::kNorth);
+  EXPECT_EQ(t.route(t.node(3, 3), t.node(2, 3)), Port::kWest);
+  EXPECT_EQ(t.route(t.node(2, 3), t.node(2, 1)), Port::kSouth);
 }
 
-/// Property sweep: following xy_route from any source reaches any
+/// Property sweep: following route() from any source reaches any
 /// destination in exactly Manhattan-distance hops (minimal + deadlock-free).
 class XyRouteSweep
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -91,7 +95,7 @@ TEST_P(XyRouteSweep, ReachesDestinationMinimally) {
       NodeId cur = src;
       int hops = 0;
       while (cur != dst) {
-        const Port p = t.xy_route(cur, dst);
+        const Port p = t.route(cur, dst);
         ASSERT_NE(p, Port::kLocal);
         cur = t.neighbor(cur, p);
         ASSERT_NE(cur, kInvalidNode);
@@ -186,16 +190,128 @@ INSTANTIATE_TEST_SUITE_P(TorusSizes, TorusRouteSweep,
                                            std::make_tuple(3, 5),
                                            std::make_tuple(5, 3)));
 
+/// Coordinate reference for dimension-ordered routing, written from the
+/// definition rather than from the topology's tables: move along the first
+/// dimension (in order) whose coordinate differs; on a torus take the ring
+/// direction with fewer hops, ties going East/North.
+Port reference_dor(const Topology& t, NodeId cur, NodeId dst, bool x_first) {
+  const bool torus = t.kind() == TopologyKind::kTorus;
+  const auto step = [torus](int c, int d, int size, Port up, Port down) {
+    if (!torus) return c < d ? up : down;
+    const int forward = ((d - c) % size + size) % size;
+    return forward <= size - forward ? up : down;
+  };
+  const int cx = cur % t.width(), cy = cur / t.width();
+  const int dx = dst % t.width(), dy = dst / t.width();
+  const bool move_x = cx != dx && (x_first || cy == dy);
+  const bool move_y = cy != dy && (!x_first || cx == dx);
+  if (move_x) return step(cx, dx, t.width(), Port::kEast, Port::kWest);
+  if (move_y) return step(cy, dy, t.height(), Port::kNorth, Port::kSouth);
+  return Port::kLocal;
+}
+
+/// Every (kind, algorithm) pair of one shape that the constructor accepts:
+/// xy and yx on mesh and torus, west-first on the mesh only (a torus needs
+/// both dimensions >= 2).
+std::vector<Topology> dor_topologies(int w, int h) {
+  std::vector<Topology> out;
+  for (const TopologyKind kind : {TopologyKind::kMesh, TopologyKind::kTorus}) {
+    if (kind == TopologyKind::kTorus && (w < 2 || h < 2)) continue;
+    for (const RoutingAlgorithm alg :
+         {RoutingAlgorithm::kXY, RoutingAlgorithm::kYX,
+          RoutingAlgorithm::kWestFirst}) {
+      if (kind == TopologyKind::kTorus && alg == RoutingAlgorithm::kWestFirst)
+        continue;
+      out.emplace_back(kind, w, h, alg);
+    }
+  }
+  return out;
+}
+
+/// route_raw() of a fault-free dimension-ordered topology matches the
+/// coordinate reference for every pair, and so does route_candidates() for
+/// an algorithm other than the topology's own (an adaptive topology still
+/// answers xy and yx structurally).
+class DorRouteReference
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(DorRouteReference, EveryPairMatchesCoordinateReference) {
+  const auto [w, h] = GetParam();
+  for (const Topology& t : dor_topologies(w, h)) {
+    const bool x_first = t.routing() != RoutingAlgorithm::kYX;
+    for (NodeId cur = 0; cur < t.num_nodes(); ++cur) {
+      for (NodeId dst = 0; dst < t.num_nodes(); ++dst) {
+        ASSERT_EQ(t.route_raw(cur, dst),
+                  port_index(reference_dor(t, cur, dst, x_first)))
+            << (t.kind() == TopologyKind::kTorus ? "torus " : "mesh ") << w
+            << "x" << h << " routing " << static_cast<int>(t.routing())
+            << " " << cur << " -> " << dst;
+      }
+    }
+  }
+}
+
+TEST_P(DorRouteReference, OtherAlgorithmsRouteStructurally) {
+  const auto [w, h] = GetParam();
+  for (const TopologyKind kind : {TopologyKind::kMesh, TopologyKind::kTorus}) {
+    if (kind == TopologyKind::kTorus && (w < 2 || h < 2)) continue;
+    const Topology t(kind, w, h, RoutingAlgorithm::kAdaptive);
+    for (const RoutingAlgorithm alg :
+         {RoutingAlgorithm::kXY, RoutingAlgorithm::kYX}) {
+      for (NodeId cur = 0; cur < t.num_nodes(); ++cur) {
+        for (NodeId dst = 0; dst < t.num_nodes(); ++dst) {
+          std::array<Port, 2> cand{};
+          ASSERT_EQ(route_candidates(alg, t, cur, dst, cand), 1);
+          ASSERT_EQ(cand[0], reference_dor(t, cur, dst,
+                                           alg == RoutingAlgorithm::kXY))
+              << cur << " -> " << dst;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, DorRouteReference,
+                         ::testing::Values(std::make_tuple(1, 1),
+                                           std::make_tuple(1, 6),
+                                           std::make_tuple(6, 1),
+                                           std::make_tuple(2, 2),
+                                           std::make_tuple(3, 5),
+                                           std::make_tuple(8, 8),
+                                           std::make_tuple(7, 5)));
+
+TEST(Topology, FaultFree256MeshRoutesWithoutPairTable) {
+  // A per-pair table would be 4 GiB here; the per-dimension tables are
+  // 128 KiB, so construction is cheap and every pair is still answered.
+  const MeshTopology t(256, 256);
+  const std::array<std::tuple<int, int, int, int>, 6> pairs = {{
+      {0, 0, 255, 255}, {255, 255, 0, 0}, {17, 200, 17, 3},
+      {128, 5, 9, 5}, {40, 40, 40, 40}, {255, 0, 0, 255}}};
+  for (const auto& [sx, sy, dx, dy] : pairs) {
+    const NodeId src = t.node(sx, sy);
+    const NodeId dst = t.node(dx, dy);
+    EXPECT_EQ(t.route(src, dst), reference_dor(t, src, dst, true));
+    NodeId cur = src;
+    int hops = 0;
+    while (cur != dst) {
+      cur = t.neighbor(cur, t.route(cur, dst));
+      ASSERT_NE(cur, kInvalidNode);
+      ASSERT_LE(++hops, t.distance(src, dst));
+    }
+    EXPECT_EQ(hops, t.distance(src, dst));
+  }
+}
+
 #if RLFTNOC_CHECK_ENABLED
 using TopologyDeathTest = ::testing::Test;
 
 TEST(TopologyDeathTest, RouteRejectsOutOfRangeNodes) {
   // Out-of-range ids (including kInvalidNode) are a caller bug: route()
-  // must refuse loudly instead of indexing the LUT out of bounds.
+  // must refuse loudly instead of indexing a route table out of bounds.
   const MeshTopology t(4, 4);
-  EXPECT_DEATH(t.xy_route(kInvalidNode, 0), "RLFTNOC_CHECK failed");
-  EXPECT_DEATH(t.xy_route(0, t.num_nodes()), "RLFTNOC_CHECK failed");
-  EXPECT_DEATH(t.xy_route(-2, 3), "RLFTNOC_CHECK failed");
+  EXPECT_DEATH(t.route(kInvalidNode, 0), "RLFTNOC_CHECK failed");
+  EXPECT_DEATH(t.route(0, t.num_nodes()), "RLFTNOC_CHECK failed");
+  EXPECT_DEATH(t.route(-2, 3), "RLFTNOC_CHECK failed");
 }
 
 TEST(TopologyDeathTest, RouteRejectsUnreachableDestination) {
