@@ -9,6 +9,13 @@
 // stops once the buffer has seen its high-water mark, so a warmed-up
 // simulation allocates nothing per cycle).
 //
+// Capacity policy: size to what the buffer holds. `reserve(n)` (and the
+// sizing constructor) allocates exactly the next power of two >= n, with no
+// floor, so a 4-deep VC FIFO holds 4 slots. An unreserved buffer starts at 2
+// slots on its first push and doubles from there, which suits the delay
+// lanes that mostly hold one or two entries. Capacity never changes
+// behaviour: a full buffer grows on the next push either way.
+//
 // Single-copy contract: `append()` hands out the new back slot itself, and
 // `push_back` forwards its argument into that slot, so a pushed value is
 // copied (lvalue) or moved (rvalue) exactly once — no by-value parameter or
@@ -43,7 +50,8 @@ class RingBuffer {
   std::size_t size() const noexcept { return size_; }
   std::size_t capacity() const noexcept { return buf_.size(); }
 
-  /// Grows the backing store (never shrinks); rounds up to a power of two.
+  /// Grows the backing store to the next power of two >= `min_capacity`
+  /// (never shrinks).
   void reserve(std::size_t min_capacity) {
     if (min_capacity > buf_.size()) grow_to(round_up_pow2(min_capacity));
   }
@@ -151,13 +159,14 @@ class RingBuffer {
   }
 
  private:
-  static constexpr std::size_t kInitialCapacity = 8;
+  /// First allocation of an unreserved buffer; later growth doubles.
+  static constexpr std::size_t kInitialCapacity = 2;
   /// 32-bit head/size keep a buffer at 32 bytes (a delay line, which also
   /// carries its occupancy-byte pointer, at 48); indices stay below 2^32.
   static constexpr std::size_t kMaxCapacity = std::size_t{1} << 31;
 
   static std::size_t round_up_pow2(std::size_t n) noexcept {
-    std::size_t cap = kInitialCapacity;
+    std::size_t cap = 1;
     while (cap < n) cap <<= 1;
     return cap;
   }

@@ -93,11 +93,18 @@ std::vector<HardFault> parse_hard_faults(const std::string& spec) {
 }
 
 std::string hard_fault_to_string(const HardFault& f) {
-  std::string s = f.kind == HardFault::Kind::kLink
-                      ? "link:" + std::to_string(f.node) + ":" +
-                            port_name(f.port)
-                      : "router:" + std::to_string(f.node);
-  if (f.at_cycle != 0) s += "@" + std::to_string(f.at_cycle);
+  // Built by appending: GCC 12 flags `"literal" + std::to_string(...)` with a
+  // false-positive -Wrestrict in Release builds.
+  std::string s = f.kind == HardFault::Kind::kLink ? "link:" : "router:";
+  s += std::to_string(f.node);
+  if (f.kind == HardFault::Kind::kLink) {
+    s += ':';
+    s += port_name(f.port);
+  }
+  if (f.at_cycle != 0) {
+    s += '@';
+    s += std::to_string(f.at_cycle);
+  }
   return s;
 }
 

@@ -30,8 +30,11 @@ class DtPolicy final : public ControlPolicy {
   OpMode decide(NodeId /*router*/, const FeatureSnapshot& state, double /*reward*/) override {
     const OpMode truth = thresholds_.classify(state.true_error_prob);
     if (phase_ == SimPhase::kPretrain) {
-      samples_.push_back(
-          DtSample{state.to_vector(per_port_state_), static_cast<int>(truth)});
+      DtSample& sample = samples_.emplace_back();
+      sample.features.resize(
+          static_cast<std::size_t>(FeatureSnapshot::num_features(per_port_state_)));
+      state.fill_vector(sample.features, per_port_state_);
+      sample.label = static_cast<int>(truth);
       return truth;  // behave like the oracle while collecting labels
     }
     if (!tree_.trained()) return OpMode::kMode1;  // defensive: untrained fallback

@@ -8,7 +8,6 @@
 
 #include <array>
 #include <span>
-#include <vector>
 
 #include "common/check.h"
 #include "common/types.h"
@@ -90,13 +89,6 @@ struct FeatureSnapshot {
     return i;
   }
 
-  /// Allocating convenience wrapper over fill_vector (cold paths, tests).
-  std::vector<double> to_vector(bool per_port = false) const {
-    std::vector<double> v(static_cast<std::size_t>(num_features(per_port)));
-    fill_vector(v, per_port);
-    return v;
-  }
-
   /// Table I binning: 5 linear bins for utilizations/temperature, 4 log
   /// bins for NACK rates, applied to either feature layout. Reuses `s`'s
   /// capacity, so a caller-held scratch state makes the per-step RL
@@ -129,13 +121,6 @@ struct FeatureSnapshot {
     s.push_back(kNackBins.bin(max(out_nack_rate)));
     s.push_back(kTempBins.bin(temperature_c));
     s.push_back(dead_count());  // 0..5 dead outgoing links, exact
-  }
-
-  /// Allocating convenience wrapper over discretize_into.
-  DiscreteState discretize(bool per_port = false) const {
-    DiscreteState s;
-    discretize_into(s, per_port);
-    return s;
   }
 
  private:

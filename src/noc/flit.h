@@ -8,15 +8,24 @@
 // Header fields (src/dst/vc/sequence) ride as side-band metadata and are
 // never corrupted; real routers protect the header with a dedicated stronger
 // code, and the paper's error model targets the datapath (see DESIGN.md).
+//
+// A Flit is 64 bytes, one cache line. Only 22 of them would travel on a real
+// wire: the 128-bit payload, the CRC-32 and the 16 SECDED check bits. The
+// rest is simulator bookkeeping (identity, routing, timing, link protocol),
+// narrowed to the bounds NocConfig enforces. Every VC slot, ARQ retention
+// slot and delay-line entry holds a whole Flit, so its size is most of the
+// simulator's per-node memory.
 // rlftnoc-lint: hot-path (per-cycle step path: R4 bans node-allocating containers and .at())
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/bitvec.h"
 #include "common/types.h"
 #include "coding/secded.h"
+#include "noc/noc_config.h"
 
 namespace rlftnoc {
 
@@ -37,24 +46,36 @@ constexpr FlitId make_flit_id(PacketId pkt, std::uint32_t seq) noexcept {
 }
 
 /// The unit of link-level transfer.
+///
+/// Fields are ordered by alignment (the 8-byte words, then the 4-byte ids
+/// and CRC, the 2-byte ECC, then the byte fields), so the only padding is 2
+/// bytes at the end. `seq`, `packet_len` and `vc` are single bytes: NocConfig
+/// caps what they hold (kMaxFlitsPerPacket, kMaxVcsPerPort), and the
+/// static_asserts below tie the caps to the field widths.
 struct Flit {
-  FlitType type = FlitType::kHead;
+  BitVec128 payload;           ///< 128 data bits (mutable by faults)
   PacketId packet_id = 0;
-  std::uint32_t seq = 0;       ///< flit index within the packet
-  std::uint32_t packet_len = 1;///< total flits in the packet
+  Cycle packet_inject_cycle = kInvalidCycle;  ///< when the packet entered the source NI queue
+
+  /// Link sequence number, stamped per (router, output port) at first
+  /// transmission. The link layer delivers in-order (go-back-N): a receiver
+  /// NACKs any flit arriving ahead of the expected sequence and ACK-drops
+  /// any duplicate behind it, so rejected flits can never be overtaken.
+  std::uint64_t lsn = 0;
+
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
-  VcId vc = kInvalidVc;        ///< VC at the *receiving* input port
-
-  BitVec128 payload;           ///< 128 data bits (mutable by faults)
   std::uint32_t crc = 0;       ///< flit CRC computed once at the source NI
 
   /// Per-hop ECC state: valid only while crossing an ECC-enabled link.
   FlitEcc ecc;
-  bool ecc_valid = false;
 
-  Cycle packet_inject_cycle = kInvalidCycle;  ///< when the packet entered the source NI queue
-  bool hop_retransmission = false;            ///< this copy is a link-level re-send
+  FlitType type = FlitType::kHead;
+  std::uint8_t seq = 0;        ///< flit index within the packet
+  std::uint8_t packet_len = 1; ///< total flits in the packet
+  std::int8_t vc = kInvalidVc; ///< VC at the *receiving* input port
+  bool ecc_valid = false;
+  bool hop_retransmission = false;  ///< this copy is a link-level re-send
 
   /// End-to-end injection generation. A hard fault that destroys part of a
   /// packet in flight triggers a source re-injection with a higher attempt;
@@ -67,12 +88,6 @@ struct Flit {
   /// the RC stage; unused (always 0) on a mesh.
   std::uint8_t vc_class = 0;
 
-  /// Link sequence number, stamped per (router, output port) at first
-  /// transmission. The link layer delivers in-order (go-back-N): a receiver
-  /// NACKs any flit arriving ahead of the expected sequence and ACK-drops
-  /// any duplicate behind it, so rejected flits can never be overtaken.
-  std::uint64_t lsn = 0;
-
   FlitId id() const noexcept { return make_flit_id(packet_id, seq); }
   bool is_head() const noexcept {
     return type == FlitType::kHead || type == FlitType::kHeadTail;
@@ -81,6 +96,13 @@ struct Flit {
     return type == FlitType::kTail || type == FlitType::kHeadTail;
   }
 };
+
+static_assert(sizeof(Flit) == 64, "Flit must stay one 64-byte cache line");
+// A raised cap in NocConfig must fail here rather than truncate in a field.
+static_assert(kMaxFlitsPerPacket - 1 <= std::numeric_limits<decltype(Flit::seq)>::max());
+static_assert(kMaxFlitsPerPacket <= std::numeric_limits<decltype(Flit::packet_len)>::max());
+static_assert(kMaxVcsPerPort - 1 <= std::numeric_limits<decltype(Flit::vc)>::max());
+static_assert(kInvalidVc >= std::numeric_limits<decltype(Flit::vc)>::min());
 
 /// Identity of a flit destroyed by hard-fault teardown. The network collects
 /// these while killing links/routers and decides once per damaged packet

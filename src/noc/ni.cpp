@@ -12,6 +12,8 @@
 namespace rlftnoc {
 
 Packet make_packet(PacketId id, NodeId src, NodeId dst, int len, Cycle now, Rng& rng) {
+  RLFTNOC_CHECK(len >= 1 && len <= kMaxFlitsPerPacket,
+                "make_packet: length %d outside [1, %d]", len, kMaxFlitsPerPacket);
   Packet pkt;
   pkt.id = id;
   pkt.src = src;
@@ -21,8 +23,8 @@ Packet make_packet(PacketId id, NodeId src, NodeId dst, int len, Cycle now, Rng&
   for (int i = 0; i < len; ++i) {
     Flit f;
     f.packet_id = id;
-    f.seq = static_cast<std::uint32_t>(i);
-    f.packet_len = static_cast<std::uint32_t>(len);
+    f.seq = static_cast<std::uint8_t>(i);
+    f.packet_len = static_cast<std::uint8_t>(len);
     f.src = src;
     f.dst = dst;
     f.packet_inject_cycle = now;
@@ -338,7 +340,7 @@ void NetworkInterface::execute(Cycle now) {
   // private copy; the retained master is separate) and copy it onto the
   // wire once.
   Flit& flit = sending_->flits[next_flit_];
-  flit.vc = send_vc_;
+  flit.vc = static_cast<std::int8_t>(send_vc_);
   --vc.credits;
   net_->record_power(id_, PowerEvent::kCrcEncode);
   inj.flits.push(now, flit);

@@ -339,7 +339,7 @@ void Router::stage_switch_allocation(Cycle now) {
       }
 
       mask_credit(pi, static_cast<std::size_t>(iv.out_vc), --ovc.credits);
-      flit.vc = iv.out_vc;
+      flit.vc = static_cast<std::int8_t>(iv.out_vc);
       const bool tail = flit.is_tail();
       transmit(now, out, std::move(flit), /*is_copy=*/false);
       iv.fifo.pop_front();

@@ -121,8 +121,12 @@ class QTable {
     items.reserve(table_.size());
     // rlftnoc-lint: allow(R1) snapshot sorted below; hash order cannot escape
     for (const auto& [state, row] : table_) items.emplace_back(&state, &row);
-    std::sort(items.begin(), items.end(),
-              [](const auto& a, const auto& b) { return *a.first < *b.first; });
+    // An explicit lexicographical_compare orders exactly like vector's
+    // operator<, which GCC 12 misreports as -Wstringop-overread in Release.
+    std::sort(items.begin(), items.end(), [](const auto& a, const auto& b) {
+      return std::lexicographical_compare(a.first->begin(), a.first->end(),
+                                          b.first->begin(), b.first->end());
+    });
     return items;
   }
 

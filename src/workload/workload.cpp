@@ -9,6 +9,8 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "noc/noc_config.h"
+
 namespace rlftnoc {
 namespace {
 
@@ -624,6 +626,12 @@ void validate_workload(const Workload& wl, int num_nodes) {
       throw WorkloadError("workload transfer id " + std::to_string(t.id) +
                           ": len must be >= 1 (got " + std::to_string(t.len) +
                           ")");
+    }
+    if (t.len > kMaxFlitsPerPacket) {
+      throw WorkloadError("workload transfer id " + std::to_string(t.id) +
+                          ": len must be <= " +
+                          std::to_string(kMaxFlitsPerPacket) + " (got " +
+                          std::to_string(t.len) + ")");
     }
     for (const std::uint64_t dep : t.deps) {
       if (dep == t.id) {

@@ -6,6 +6,7 @@
 // sequence stream and the trace ring content never depend on thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -397,6 +398,106 @@ TEST(ParallelStep, FaultHeavyMode2AuditsCleanEveryCycleThreaded) {
   }
   EXPECT_TRUE(net.drained());
   EXPECT_GT(auditor.clean_passes(), 0u);
+}
+
+/// One flit seen on an ejection lane: where, when and what it carried.
+struct EjectedFlit {
+  Cycle cycle = 0;
+  NodeId node = kInvalidNode;
+  PacketId packet = 0;
+  int seq = -1;
+  int packet_len = 0;
+  int vc = kInvalidVc;
+  bool operator==(const EjectedFlit&) const = default;
+};
+
+/// Runs mode-2 (ARQ+ECC) traffic with link errors on a mesh configured at
+/// the caps that bound Flit's byte-wide fields (kMaxFlitsPerPacket flits per
+/// packet, kMaxVcsPerPort VCs per port), auditing every cycle. Every flit on
+/// an ejection lane after a step is appended to `ejected`.
+std::unique_ptr<Network> run_at_field_limits(unsigned sim_threads,
+                                             std::vector<EjectedFlit>& ejected) {
+  NocConfig cfg = small_mesh();
+  cfg.flits_per_packet = kMaxFlitsPerPacket;
+  cfg.vcs_per_port = kMaxVcsPerPort;
+  cfg.validate();
+  auto net = std::make_unique<Network>(cfg, /*seed=*/37);
+  net->set_sim_threads(sim_threads);
+  for (NodeId n = 0; n < cfg.num_nodes(); ++n) {
+    net->router(n).set_mode(OpMode::kMode2);
+    for (const Port p : {Port::kNorth, Port::kSouth, Port::kEast, Port::kWest}) {
+      if (net->out_channel(n, p) != nullptr)
+        net->set_link_error_prob(n, p, LinkErrorProb{0.08, 0.004});
+    }
+  }
+
+  // Every other packet targets one hotspot node, so its ejection port has
+  // enough worms in flight at once to allocate every one of its VCs.
+  constexpr NodeId kHotspot = 5;
+  Rng traffic_rng(37, "field-limits-traffic");
+  PacketId next_id = 1;
+  for (int i = 0; i < 80; ++i) {
+    const auto src = static_cast<NodeId>(
+        traffic_rng.next_u64() % static_cast<std::uint64_t>(cfg.num_nodes()));
+    const auto dst = i % 2 == 0 ? kHotspot
+                                : static_cast<NodeId>(
+                                      traffic_rng.next_u64() %
+                                      static_cast<std::uint64_t>(cfg.num_nodes()));
+    if (src == dst) continue;
+    net->ni(src).enqueue_packet(make_packet(next_id++, src, dst,
+                                            cfg.flits_per_packet, 0,
+                                            net->payload_rng()));
+  }
+
+  NetworkAuditor auditor;
+  for (Cycle c = 0; c < 40000 && !net->drained(); ++c) {
+    net->step();
+    for (const AuditViolation& v : auditor.run(*net))
+      ADD_FAILURE() << v.to_string();
+    for (NodeId n = 0; n < cfg.num_nodes(); ++n) {
+      net->ej_channel(n).flits.for_each([&](const Flit& f) {
+        ejected.push_back(EjectedFlit{net->now(), n, f.packet_id, f.seq,
+                                      f.packet_len, f.vc});
+      });
+    }
+  }
+  EXPECT_GT(auditor.clean_passes(), 0u);
+  return net;
+}
+
+TEST(ParallelStep, FlitFieldsAtConfigCapsDeliverIdenticallyAcrossThreads) {
+  std::vector<EjectedFlit> serial_ejected;
+  const auto serial = run_at_field_limits(1, serial_ejected);
+  ASSERT_TRUE(serial->drained());
+  const NetworkMetrics& m = serial->metrics();
+  EXPECT_GT(m.packets_injected, 0u);
+  EXPECT_EQ(m.packets_delivered, m.packets_injected);
+  EXPECT_EQ(m.flits_delivered,
+            m.packets_delivered * static_cast<std::uint64_t>(kMaxFlitsPerPacket));
+  // The run must exercise the ARQ+ECC link layer to mean anything.
+  EXPECT_GT(m.retx_flits_hop, 0u);
+
+  // The byte-wide fields reach their caps intact on the way out: every flit
+  // index 0..31 appears, packet_len reads 32, and the top VC (11) is used.
+  std::vector<bool> seq_seen(kMaxFlitsPerPacket, false);
+  int max_vc = -1;
+  for (const EjectedFlit& e : serial_ejected) {
+    ASSERT_GE(e.seq, 0);
+    ASSERT_LT(e.seq, kMaxFlitsPerPacket);
+    seq_seen[static_cast<std::size_t>(e.seq)] = true;
+    EXPECT_EQ(e.packet_len, kMaxFlitsPerPacket);
+    ASSERT_GE(e.vc, 0);
+    ASSERT_LT(e.vc, kMaxVcsPerPort);
+    max_vc = std::max(max_vc, e.vc);
+  }
+  for (int q = 0; q < kMaxFlitsPerPacket; ++q)
+    EXPECT_TRUE(seq_seen[static_cast<std::size_t>(q)]) << "seq " << q;
+  EXPECT_EQ(max_vc, kMaxVcsPerPort - 1);
+
+  std::vector<EjectedFlit> threaded_ejected;
+  const auto threaded = run_at_field_limits(4, threaded_ejected);
+  expect_networks_identical(*serial, *threaded);
+  EXPECT_TRUE(serial_ejected == threaded_ejected);
 }
 
 TEST(ParallelStep, AuditedFaultHeavySweepHoldsInvariant6WithSingleMerge) {

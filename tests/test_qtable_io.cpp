@@ -118,8 +118,9 @@ TEST(QTableIo, PolicySaveLoadPreservesGreedyChoices) {
     FeatureSnapshot s;
     s.temperature_c = t;
     s.buffer_util = 0.2;
-    EXPECT_EQ(fresh.agent(0).greedy_action(s.discretize()),
-              trained.agent(0).greedy_action(s.discretize()));
+    DiscreteState d;
+    s.discretize_into(d);
+    EXPECT_EQ(fresh.agent(0).greedy_action(d), trained.agent(0).greedy_action(d));
   }
 }
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <deque>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -39,6 +42,7 @@ TEST(RingBuffer, WraparoundMatchesDequeReference) {
   RingBuffer<std::uint64_t> rb;
   std::deque<std::uint64_t> ref;
   Rng rng(7, "ring");
+  std::size_t high_water = 0;
   for (int step = 0; step < 20000; ++step) {
     const bool push = ref.empty() || (ref.size() < 6 && rng.next_u64() % 2);
     if (push) {
@@ -51,10 +55,12 @@ TEST(RingBuffer, WraparoundMatchesDequeReference) {
       ref.pop_front();
     }
     ASSERT_EQ(rb.size(), ref.size());
+    high_water = std::max(high_water, ref.size());
   }
-  // Capacity settled at the high-water mark: bounded churn never grows past
-  // the first doubling that covers it.
-  EXPECT_LE(rb.capacity(), 8u);
+  // Capacity settled at the high-water mark's power of two: bounded churn
+  // never grows past the first doubling that covers it.
+  ASSERT_EQ(high_water, 6u);
+  EXPECT_EQ(rb.capacity(), std::bit_ceil(high_water));
 }
 
 TEST(RingBuffer, GrowthPreservesOrderAcrossWrap) {
@@ -159,12 +165,38 @@ TEST(RingBuffer, RemoveIfIsStable) {
 }
 
 TEST(RingBuffer, ReserveRoundsUpToPowerOfTwo) {
+  // Exactly the next power of two >= n, with no floor: a 4-deep VC FIFO
+  // costs 4 slots, not a minimum allocation.
+  for (const auto& [n, cap] : {std::pair<std::size_t, std::size_t>{1, 1},
+                               {3, 4}, {4, 4}, {9, 16}}) {
+    EXPECT_EQ(RingBuffer<int>(n).capacity(), cap) << "RingBuffer(" << n << ")";
+    RingBuffer<int> reserved;
+    reserved.reserve(n);
+    EXPECT_EQ(reserved.capacity(), cap) << "reserve(" << n << ")";
+  }
   RingBuffer<int> rb(12);
   EXPECT_EQ(rb.capacity(), 16u);
   rb.reserve(3);  // never shrinks
   EXPECT_EQ(rb.capacity(), 16u);
   for (int i = 0; i < 16; ++i) rb.push_back(i);
   EXPECT_EQ(rb.capacity(), 16u);  // exactly full, no reallocation yet
+}
+
+TEST(RingBuffer, UnreservedFirstPushAllocatesTwoThenDoubles) {
+  RingBuffer<int> rb;
+  rb.push_back(0);
+  EXPECT_EQ(rb.capacity(), 2u);
+  rb.push_back(1);
+  EXPECT_EQ(rb.capacity(), 2u);  // exactly full, no reallocation yet
+  rb.push_back(2);
+  EXPECT_EQ(rb.capacity(), 4u);
+  // A one-slot reservation also doubles on overflow and keeps FIFO order.
+  RingBuffer<int> one(1);
+  one.push_back(7);
+  one.push_back(8);
+  EXPECT_EQ(one.capacity(), 2u);
+  EXPECT_EQ(one.front(), 7);
+  EXPECT_EQ(one.back(), 8);
 }
 
 TEST(RingBuffer, ClearResets) {
@@ -183,7 +215,7 @@ TEST(RingBuffer, ClearResets) {
 ArqRetention make_entry(FlitId id) {
   ArqRetention r;
   r.clean.packet_id = id >> 8;
-  r.clean.seq = static_cast<std::uint32_t>(id & 0xFF);
+  r.clean.seq = static_cast<std::uint8_t>(id & 0xFF);
   r.unresolved = 1;
   return r;
 }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "noc/noc_config.h"
 #include "sim/campaign.h"
 #include "sim/options_io.h"
 #include "sim/results_io.h"
@@ -328,6 +329,13 @@ TEST(WorkloadValidate, ReportsOffendingTransferIds) {
   wl.transfers = {transfer(5, 0, 1, 0)};
   msg = expect_workload_error([&] { validate_workload(wl, 4); });
   EXPECT_NE(msg.find("len must be >= 1"), std::string::npos) << msg;
+
+  // A flit's seq and packet_len are single bytes, capped at 32 flits.
+  wl.transfers = {transfer(5, 0, 1, kMaxFlitsPerPacket)};
+  EXPECT_NO_THROW(validate_workload(wl, 4));
+  wl.transfers = {transfer(5, 0, 1, kMaxFlitsPerPacket + 1)};
+  msg = expect_workload_error([&] { validate_workload(wl, 4); });
+  EXPECT_NE(msg.find("len must be <= 32 (got 33)"), std::string::npos) << msg;
 
   wl.transfers = {transfer(6, 0, 1, 1, 0, {99})};
   msg = expect_workload_error([&] { validate_workload(wl, 4); });
