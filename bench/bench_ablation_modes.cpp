@@ -34,7 +34,7 @@ Cell run(OpMode mode, double p_error, double injection_rate) {
   SyntheticTraffic::Options o;
   o.injection_rate = injection_rate;
   o.total_packets = 3000;
-  SyntheticTraffic gen(MeshTopology(cfg), o, 7);
+  SyntheticTraffic gen(Grid(cfg), o, 7);
   std::vector<Packet> batch;
   // 600K-cycle guard: saturated cells (mode 0 at high p) report truncated
   // latencies, which is enough to show the collapse without a 10x runtime.

@@ -31,7 +31,7 @@ SimResult run_variant(const std::string& label,
   SyntheticTraffic::Options o;
   o.injection_rate = 0.08;
   o.total_packets = 40000;
-  SyntheticTraffic gen(MeshTopology(opt.noc), o, opt.seed);
+  SyntheticTraffic gen(Grid(opt.noc), o, opt.seed);
   const SimResult r = sim.run(gen);
   std::printf("%-28s lat=%7.1f  faultRetx=%7llu  dup=%7llu  eff=%5.2f  "
               "modes=[%.2f %.2f %.2f %.2f]\n",
@@ -81,7 +81,7 @@ int main() {
     SyntheticTraffic::Options o;
     o.injection_rate = 0.08;
     o.total_packets = 40000;
-    SyntheticTraffic gen(MeshTopology(opt.noc), o, opt.seed);
+    SyntheticTraffic gen(Grid(opt.noc), o, opt.seed);
     const SimResult r = sim.run(gen);
     std::printf("%-28s lat=%7.1f  faultRetx=%7llu  dup=%7llu  eff=%5.2f\n",
                 r.policy.c_str(), r.avg_packet_latency,

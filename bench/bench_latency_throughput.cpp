@@ -27,7 +27,7 @@ double run_point(TrafficPattern pattern, double rate, OpMode mode, double p_err)
   o.pattern = pattern;
   o.injection_rate = rate;
   o.total_packets = 0;  // open loop; measure over a fixed window
-  SyntheticTraffic gen(MeshTopology(cfg), o, 3);
+  SyntheticTraffic gen(Grid(cfg), o, 3);
   std::vector<Packet> batch;
   constexpr Cycle kWarm = 5000;
   constexpr Cycle kMeasure = 25000;

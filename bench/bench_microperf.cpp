@@ -76,7 +76,7 @@ void BM_NetworkCyclePerLoad(benchmark::State& state) {
   SyntheticTraffic::Options o;
   o.injection_rate = rate;
   o.total_packets = 0;
-  SyntheticTraffic gen(MeshTopology(cfg), o, 7);
+  SyntheticTraffic gen(Grid(cfg), o, 7);
   std::vector<Packet> batch;
   for (auto _ : state) {
     batch.clear();
@@ -101,7 +101,7 @@ void BM_NetworkCycleWithFaultsAndEcc(benchmark::State& state) {
   SyntheticTraffic::Options o;
   o.injection_rate = 0.08;
   o.total_packets = 0;
-  SyntheticTraffic gen(MeshTopology(cfg), o, 8);
+  SyntheticTraffic gen(Grid(cfg), o, 8);
   std::vector<Packet> batch;
   for (auto _ : state) {
     batch.clear();

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
 
   Simulator sim(opt);
   ParsecProfile prof = parsec_profile(bench);
-  ParsecTraffic gen(MeshTopology(opt.noc), prof, opt.seed);
+  ParsecTraffic gen(Grid(opt.noc), prof, opt.seed);
 
   // Count per-router mode residency across the measurement phase by
   // sampling the controller after the run via a piggy-backed counter: we

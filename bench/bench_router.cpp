@@ -65,7 +65,7 @@ RouterStepResult run_router_step() {
   SyntheticTraffic::Options to;
   to.injection_rate = 0.06;
   to.total_packets = 8000;
-  SyntheticTraffic gen(MeshTopology(opt.noc), to, opt.seed);
+  SyntheticTraffic gen(Grid(opt.noc), to, opt.seed);
 
   RouterStepResult r;
   const auto t0 = std::chrono::steady_clock::now();  // rlftnoc-lint: allow(R2) wall-clock is the bench metric, never a sim input

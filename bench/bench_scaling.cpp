@@ -76,7 +76,7 @@ SimResult run_cell(const MeshCase& mc, unsigned sim_threads,
   SyntheticTraffic::Options to;
   to.injection_rate = 0.06;
   to.total_packets = mc.packets;
-  SyntheticTraffic gen(MeshTopology(opt.noc), to, opt.seed);
+  SyntheticTraffic gen(Grid(opt.noc), to, opt.seed);
 
   const auto t0 = std::chrono::steady_clock::now();  // rlftnoc-lint: allow(R2) wall-clock is the bench metric, never a sim input
   const SimResult r = sim.run(gen);

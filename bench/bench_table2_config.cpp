@@ -5,6 +5,7 @@
 #include <string>
 
 #include "sim/simulator.h"
+#include "traffic/parsec.h"
 
 using namespace rlftnoc;
 
@@ -45,7 +46,13 @@ int main() {
   row("VCs per port", "4", std::to_string(opt.noc.vcs_per_port));
   row("flit size", "128 bits",
       std::to_string(BitVec128::kBits) + " bits");
-  row("packet size", "4 flits", std::to_string(opt.noc.flits_per_packet) + " flits");
+  // Packet length is a property of the traffic: the PARSEC profiles' data
+  // packets (1-flit control packets aside).
+  const int data_len = parsec_suite().front().data_packet_len;
+  std::string packet_size = std::to_string(data_len) + " flits";
+  for (const ParsecProfile& p : parsec_suite())
+    if (p.data_packet_len != data_len) packet_size = "mixed";
+  row("packet size", "4 flits", packet_size);
   row("RL time-step", "1000 cycles",
       std::to_string(opt.controller.step_cycles) + " cycles");
   row("RL alpha", "0.1", std::to_string(opt.rl.alpha).substr(0, 3));

@@ -57,11 +57,11 @@ SimOptions make_options(unsigned sim_threads) {
 
 Cell run_cell(const std::string& name, bool gated, unsigned sim_threads) {
   const SimOptions opt = make_options(sim_threads);
-  const MeshTopology topo(opt.noc);
+  const Grid grid(opt.noc);
   WorkloadReplayTraffic::Options ro;
   ro.gate_on_deps = gated;
-  WorkloadReplayTraffic gen(make_builtin_workload(name, topo, Config{}, kSeed),
-                            topo.num_nodes(), kSeed, ro);
+  WorkloadReplayTraffic gen(make_builtin_workload(name, grid, Config{}, kSeed),
+                            grid.num_nodes(), kSeed, ro);
   Simulator sim(opt);
   Cell c;
   c.workload = name;

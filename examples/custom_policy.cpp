@@ -53,7 +53,7 @@ SimResult run(const std::string& bench, std::uint64_t seed,
   Simulator sim = policy ? Simulator(opt, std::move(policy)) : Simulator(opt);
   ParsecProfile prof = parsec_profile(bench);
   prof.total_packets /= 2;
-  ParsecTraffic gen(MeshTopology(opt.noc), prof, seed);
+  ParsecTraffic gen(Grid(opt.noc), prof, seed);
   return sim.run(gen);
 }
 

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
       Simulator sim(opt);
       ParsecProfile prof = parsec_profile(bench);
       prof.total_packets /= 3;
-      ParsecTraffic gen(MeshTopology(opt.noc), prof, opt.seed);
+      ParsecTraffic gen(Grid(opt.noc), prof, opt.seed);
       const SimResult r = sim.run(gen);
       char cell[64];
       std::snprintf(cell, sizeof cell, "%.0f / %llu%s", r.avg_packet_latency,

@@ -27,7 +27,7 @@ SimResult run_one(PolicyKind policy, const std::string& bench, std::uint64_t see
   Simulator sim(opt);
   ParsecProfile profile = parsec_profile(bench);
   profile.total_packets /= 2;  // demo-sized execution
-  ParsecTraffic traffic(MeshTopology(opt.noc), profile, seed);
+  ParsecTraffic traffic(Grid(opt.noc), profile, seed);
   return sim.run(traffic);
 }
 

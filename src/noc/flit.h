@@ -49,9 +49,10 @@ constexpr FlitId make_flit_id(PacketId pkt, std::uint32_t seq) noexcept {
 ///
 /// Fields are ordered by alignment (the 8-byte words, then the 4-byte ids
 /// and CRC, the 2-byte ECC, then the byte fields), so the only padding is 2
-/// bytes at the end. `seq`, `packet_len` and `vc` are single bytes: NocConfig
-/// caps what they hold (kMaxFlitsPerPacket, kMaxVcsPerPort), and the
-/// static_asserts below tie the caps to the field widths.
+/// bytes at the end. `seq`, `packet_len` and `vc` are single bytes: packet
+/// length is capped at kMaxFlitsPerPacket (make_packet, validate_workload)
+/// and NocConfig caps vcs_per_port at kMaxVcsPerPort; the static_asserts
+/// below tie the caps to the field widths.
 struct Flit {
   BitVec128 payload;           ///< 128 data bits (mutable by faults)
   PacketId packet_id = 0;

@@ -85,7 +85,7 @@ class Network {
 
   Cycle now() const noexcept { return now_; }
   const NocConfig& config() const noexcept { return cfg_; }
-  const MeshTopology& topology() const noexcept { return topo_; }
+  const Topology& topology() const noexcept { return topo_; }
 
   Router& router(NodeId n) {
     RLFTNOC_CHECK(valid_node(n), "router(%d): out of range", n);
@@ -373,7 +373,7 @@ class Network {
   void finish_fault_application(std::vector<LostFlit>& lost);
 
   NocConfig cfg_;
-  MeshTopology topo_;
+  Topology topo_;
   Cycle now_ = 0;
 
   std::vector<std::unique_ptr<Router>> routers_;

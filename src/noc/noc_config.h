@@ -10,8 +10,9 @@
 
 namespace rlftnoc {
 
-/// Upper bound on NocConfig::flits_per_packet. Flit::seq and
-/// Flit::packet_len are single bytes, and make_flit_id keeps 8 bits of seq.
+/// Upper bound on a packet's length in flits (make_packet, workload `len`).
+/// Flit::seq and Flit::packet_len are single bytes, and make_flit_id keeps
+/// 8 bits of seq.
 inline constexpr int kMaxFlitsPerPacket = 32;
 
 /// Upper bound on NocConfig::vcs_per_port: kNumPorts (5) x 12 = 60 input VCs
@@ -29,7 +30,6 @@ struct NocConfig {
   int mesh_height = 8;
   int vcs_per_port = 4;      ///< 4 VCs per port
   int vc_depth = 4;          ///< flit slots per VC buffer
-  int flits_per_packet = 4;  ///< 128 bits/flit, 4 flits
   int retention_depth = 8;   ///< output flit buffer entries per port (ARQ)
   int local_vc_depth = 16;   ///< deeper buffering at the ejection port
   int ni_queue_limit = 512;  ///< source NI injection queue capacity (packets)
@@ -72,8 +72,6 @@ struct NocConfig {
     if (vcs_per_port < 1 || vcs_per_port > kMaxVcsPerPort)
       throw std::invalid_argument("NocConfig: vcs_per_port out of range");
     if (vc_depth < 1) throw std::invalid_argument("NocConfig: vc_depth < 1");
-    if (flits_per_packet < 1 || flits_per_packet > kMaxFlitsPerPacket)
-      throw std::invalid_argument("NocConfig: flits_per_packet out of range");
     if (retention_depth < 2)
       throw std::invalid_argument("NocConfig: retention_depth < 2 cannot cover ACK RTT");
     if (local_vc_depth < vc_depth)
@@ -87,8 +85,6 @@ struct NocConfig {
     c.mesh_height = static_cast<int>(cfg.get_int("noc.mesh_height", c.mesh_height));
     c.vcs_per_port = static_cast<int>(cfg.get_int("noc.vcs_per_port", c.vcs_per_port));
     c.vc_depth = static_cast<int>(cfg.get_int("noc.vc_depth", c.vc_depth));
-    c.flits_per_packet =
-        static_cast<int>(cfg.get_int("noc.flits_per_packet", c.flits_per_packet));
     c.retention_depth =
         static_cast<int>(cfg.get_int("noc.retention_depth", c.retention_depth));
     c.local_vc_depth =

@@ -428,7 +428,7 @@ void Router::stage_route_computation(Cycle now) {
       }
       if (iv.state == InputVc::State::kRouting) {
         std::array<Port, 2> candidates{};
-        const int n = route_candidates(cfg_->routing, net_->topology(), id_,
+        const int n = route_candidates(net_->topology(), id_,
                                        iv.fifo.front().dst, candidates);
         if (n == 0) {
           // Destination unreachable after hard faults: drop the worm here;

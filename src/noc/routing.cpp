@@ -63,187 +63,153 @@ void build_dor_lut(const Topology& t, std::vector<std::uint8_t>& lut,
   }
 }
 
-class XyPolicy final : public RoutingPolicy {
- public:
-  const char* name() const noexcept override { return "xy"; }
-  void build_lut(const Topology& t,
-                 std::vector<std::uint8_t>& lut) const override {
-    build_dor_lut(t, lut, /*x_first=*/true);
-  }
-};
-
-class YxPolicy final : public RoutingPolicy {
- public:
-  const char* name() const noexcept override { return "yx"; }
-  void build_lut(const Topology& t,
-                 std::vector<std::uint8_t>& lut) const override {
-    build_dor_lut(t, lut, /*x_first=*/false);
-  }
-};
-
-/// West-first keeps XY routes (used for credit walks and as the
-/// deterministic fallback); its adaptive candidates are computed inline in
-/// route_candidates. Mesh-only and fault-free by configuration.
-class WestFirstPolicy final : public RoutingPolicy {
- public:
-  const char* name() const noexcept override { return "westfirst"; }
-  void build_lut(const Topology& t,
-                 std::vector<std::uint8_t>& lut) const override {
-    build_dor_lut(t, lut, /*x_first=*/true);
-  }
-};
-
 /// Fault-adaptive up*/down* (see the deadlock-freedom argument in the
 /// header). Rank = (BFS level from the component's minimum-id alive router,
 /// node id); an edge toward smaller rank is "up". Routes follow the
 /// committed-down rule: a node with an intact all-down path to dst takes
 /// its shortest one; otherwise it climbs the up edge that minimizes the
 /// remaining legal (up* then down*) distance.
-class AdaptiveUpDownPolicy final : public RoutingPolicy {
- public:
-  const char* name() const noexcept override { return "adaptive"; }
+void build_updown_lut(const Topology& t, std::vector<std::uint8_t>& lut) {
+  const int n = t.num_nodes();
+  const auto nn = static_cast<std::size_t>(n);
+  lut.assign(nn * nn, Topology::kUnreachable);
 
-  void build_lut(const Topology& t,
-                 std::vector<std::uint8_t>& lut) const override {
-    const int n = t.num_nodes();
-    const auto nn = static_cast<std::size_t>(n);
-    lut.assign(nn * nn, Topology::kUnreachable);
-
-    // Components + BFS levels from each component's minimum alive id.
-    std::vector<int> level(nn, -1);
-    std::vector<int> comp(nn, -1);
-    std::vector<NodeId> queue;
-    queue.reserve(nn);
-    int ncomp = 0;
-    for (NodeId r = 0; r < n; ++r) {
-      if (!t.router_alive(r) || comp[static_cast<std::size_t>(r)] != -1)
-        continue;
-      comp[static_cast<std::size_t>(r)] = ncomp;
-      level[static_cast<std::size_t>(r)] = 0;
-      queue.assign(1, r);
-      for (std::size_t head = 0; head < queue.size(); ++head) {
-        const NodeId u = queue[head];
-        for (const Port p : kAllPorts) {
-          if (p == Port::kLocal || !t.link_alive(u, p)) continue;
-          const NodeId v = t.neighbor(u, p);
-          if (comp[static_cast<std::size_t>(v)] != -1) continue;
-          comp[static_cast<std::size_t>(v)] = ncomp;
-          level[static_cast<std::size_t>(v)] =
-              level[static_cast<std::size_t>(u)] + 1;
-          queue.push_back(v);
-        }
+  // Components + BFS levels from each component's minimum alive id.
+  std::vector<int> level(nn, -1);
+  std::vector<int> comp(nn, -1);
+  std::vector<NodeId> queue;
+  queue.reserve(nn);
+  int ncomp = 0;
+  for (NodeId r = 0; r < n; ++r) {
+    if (!t.router_alive(r) || comp[static_cast<std::size_t>(r)] != -1)
+      continue;
+    comp[static_cast<std::size_t>(r)] = ncomp;
+    level[static_cast<std::size_t>(r)] = 0;
+    queue.assign(1, r);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const NodeId u = queue[head];
+      for (const Port p : kAllPorts) {
+        if (p == Port::kLocal || !t.link_alive(u, p)) continue;
+        const NodeId v = t.neighbor(u, p);
+        if (comp[static_cast<std::size_t>(v)] != -1) continue;
+        comp[static_cast<std::size_t>(v)] = ncomp;
+        level[static_cast<std::size_t>(v)] =
+            level[static_cast<std::size_t>(u)] + 1;
+        queue.push_back(v);
       }
-      ++ncomp;
+    }
+    ++ncomp;
+  }
+
+  // Edge u -> v is "down" when it moves away from the root in rank order.
+  const auto is_down = [&](NodeId u, NodeId v) {
+    const int lu = level[static_cast<std::size_t>(u)];
+    const int lv = level[static_cast<std::size_t>(v)];
+    return lv > lu || (lv == lu && v > u);
+  };
+
+  // Alive nodes in ascending rank: a topological order of the up-DAG
+  // (every up edge points to an earlier entry).
+  std::vector<NodeId> ranked;
+  ranked.reserve(nn);
+  for (NodeId u = 0; u < n; ++u)
+    if (t.router_alive(u)) ranked.push_back(u);
+  std::sort(ranked.begin(), ranked.end(), [&](NodeId a, NodeId b) {
+    return std::make_pair(level[static_cast<std::size_t>(a)], a) <
+           std::make_pair(level[static_cast<std::size_t>(b)], b);
+  });
+
+  std::vector<int> dd(nn);   // all-down distance to dst (kInf if none)
+  std::vector<int> dup(nn);  // shortest legal up*-then-down* distance
+  for (NodeId dst = 0; dst < n; ++dst) {
+    if (!t.router_alive(dst)) continue;
+    const int cdst = comp[static_cast<std::size_t>(dst)];
+
+    // Reverse BFS over down edges: dd[u] counts the hops of u's shortest
+    // all-down path to dst (unit weights, so BFS order is shortest).
+    std::fill(dd.begin(), dd.end(), kInf);
+    dd[static_cast<std::size_t>(dst)] = 0;
+    queue.assign(1, dst);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const NodeId v = queue[head];
+      for (const Port p : kAllPorts) {
+        if (p == Port::kLocal || !t.link_alive(v, p)) continue;
+        const NodeId u = t.neighbor(v, p);
+        if (dd[static_cast<std::size_t>(u)] != kInf || !is_down(u, v))
+          continue;
+        dd[static_cast<std::size_t>(u)] = dd[static_cast<std::size_t>(v)] + 1;
+        queue.push_back(u);
+      }
     }
 
-    // Edge u -> v is "down" when it moves away from the root in rank order.
-    const auto is_down = [&](NodeId u, NodeId v) {
-      const int lu = level[static_cast<std::size_t>(u)];
-      const int lv = level[static_cast<std::size_t>(v)];
-      return lv > lu || (lv == lu && v > u);
-    };
-
-    // Alive nodes in ascending rank: a topological order of the up-DAG
-    // (every up edge points to an earlier entry).
-    std::vector<NodeId> ranked;
-    ranked.reserve(nn);
-    for (NodeId u = 0; u < n; ++u)
-      if (t.router_alive(u)) ranked.push_back(u);
-    std::sort(ranked.begin(), ranked.end(), [&](NodeId a, NodeId b) {
-      return std::make_pair(level[static_cast<std::size_t>(a)], a) <
-             std::make_pair(level[static_cast<std::size_t>(b)], b);
-    });
-
-    std::vector<int> dd(nn);   // all-down distance to dst (kInf if none)
-    std::vector<int> dup(nn);  // shortest legal up*-then-down* distance
-    for (NodeId dst = 0; dst < n; ++dst) {
-      if (!t.router_alive(dst)) continue;
-      const int cdst = comp[static_cast<std::size_t>(dst)];
-
-      // Reverse BFS over down edges: dd[u] counts the hops of u's shortest
-      // all-down path to dst (unit weights, so BFS order is shortest).
-      std::fill(dd.begin(), dd.end(), kInf);
-      dd[static_cast<std::size_t>(dst)] = 0;
-      queue.assign(1, dst);
-      for (std::size_t head = 0; head < queue.size(); ++head) {
-        const NodeId v = queue[head];
-        for (const Port p : kAllPorts) {
-          if (p == Port::kLocal || !t.link_alive(v, p)) continue;
-          const NodeId u = t.neighbor(v, p);
-          if (dd[static_cast<std::size_t>(u)] != kInf || !is_down(u, v))
-            continue;
-          dd[static_cast<std::size_t>(u)] = dd[static_cast<std::size_t>(v)] + 1;
-          queue.push_back(u);
-        }
+    // DP in rank order: dup[u] = min(dd[u], 1 + dup[up-neighbor]); every
+    // up edge leads to an already-finalized entry.
+    std::fill(dup.begin(), dup.end(), kInf);
+    for (const NodeId u : ranked) {
+      if (comp[static_cast<std::size_t>(u)] != cdst) continue;
+      int best = dd[static_cast<std::size_t>(u)];
+      for (const Port p : kAllPorts) {
+        if (p == Port::kLocal || !t.link_alive(u, p)) continue;
+        const NodeId m = t.neighbor(u, p);
+        if (is_down(u, m)) continue;
+        const int via = dup[static_cast<std::size_t>(m)];
+        if (via < kInf && via + 1 < best) best = via + 1;
       }
+      dup[static_cast<std::size_t>(u)] = best;
+    }
 
-      // DP in rank order: dup[u] = min(dd[u], 1 + dup[up-neighbor]); every
-      // up edge leads to an already-finalized entry.
-      std::fill(dup.begin(), dup.end(), kInf);
-      for (const NodeId u : ranked) {
-        if (comp[static_cast<std::size_t>(u)] != cdst) continue;
-        int best = dd[static_cast<std::size_t>(u)];
-        for (const Port p : kAllPorts) {
-          if (p == Port::kLocal || !t.link_alive(u, p)) continue;
-          const NodeId m = t.neighbor(u, p);
-          if (is_down(u, m)) continue;
-          const int via = dup[static_cast<std::size_t>(m)];
-          if (via < kInf && via + 1 < best) best = via + 1;
-        }
-        dup[static_cast<std::size_t>(u)] = best;
+    for (NodeId cur = 0; cur < n; ++cur) {
+      if (comp[static_cast<std::size_t>(cur)] != cdst) continue;
+      std::uint8_t& entry =
+          lut[static_cast<std::size_t>(cur) * nn + static_cast<std::size_t>(dst)];
+      if (cur == dst) {
+        entry = static_cast<std::uint8_t>(port_index(Port::kLocal));
+        continue;
       }
-
-      for (NodeId cur = 0; cur < n; ++cur) {
-        if (comp[static_cast<std::size_t>(cur)] != cdst) continue;
-        std::uint8_t& entry =
-            lut[static_cast<std::size_t>(cur) * nn + static_cast<std::size_t>(dst)];
-        if (cur == dst) {
-          entry = static_cast<std::uint8_t>(port_index(Port::kLocal));
-          continue;
-        }
-        if (dd[static_cast<std::size_t>(cur)] < kInf) {
-          // Committed down: continue the shortest all-down path (first
-          // matching port wins — deterministic tie-break).
-          for (const Port p : kAllPorts) {
-            if (p == Port::kLocal || !t.link_alive(cur, p)) continue;
-            const NodeId m = t.neighbor(cur, p);
-            if (is_down(cur, m) && dd[static_cast<std::size_t>(m)] ==
-                                       dd[static_cast<std::size_t>(cur)] - 1) {
-              entry = static_cast<std::uint8_t>(port_index(p));
-              break;
-            }
+      if (dd[static_cast<std::size_t>(cur)] < kInf) {
+        // Committed down: continue the shortest all-down path (first
+        // matching port wins — deterministic tie-break).
+        for (const Port p : kAllPorts) {
+          if (p == Port::kLocal || !t.link_alive(cur, p)) continue;
+          const NodeId m = t.neighbor(cur, p);
+          if (is_down(cur, m) && dd[static_cast<std::size_t>(m)] ==
+                                     dd[static_cast<std::size_t>(cur)] - 1) {
+            entry = static_cast<std::uint8_t>(port_index(p));
+            break;
           }
-        } else if (dup[static_cast<std::size_t>(cur)] < kInf) {
-          for (const Port p : kAllPorts) {
-            if (p == Port::kLocal || !t.link_alive(cur, p)) continue;
-            const NodeId m = t.neighbor(cur, p);
-            if (!is_down(cur, m) && dup[static_cast<std::size_t>(m)] + 1 ==
-                                        dup[static_cast<std::size_t>(cur)]) {
-              entry = static_cast<std::uint8_t>(port_index(p));
-              break;
-            }
+        }
+      } else if (dup[static_cast<std::size_t>(cur)] < kInf) {
+        for (const Port p : kAllPorts) {
+          if (p == Port::kLocal || !t.link_alive(cur, p)) continue;
+          const NodeId m = t.neighbor(cur, p);
+          if (!is_down(cur, m) && dup[static_cast<std::size_t>(m)] + 1 ==
+                                      dup[static_cast<std::size_t>(cur)]) {
+            entry = static_cast<std::uint8_t>(port_index(p));
+            break;
           }
         }
       }
     }
   }
-};
-
-const XyPolicy kXyPolicy;
-const YxPolicy kYxPolicy;
-const WestFirstPolicy kWestFirstPolicy;
-const AdaptiveUpDownPolicy kAdaptivePolicy;
+}
 
 }  // namespace
 
-const RoutingPolicy& routing_policy_for(RoutingAlgorithm alg) {
-  switch (alg) {
-    case RoutingAlgorithm::kXY: return kXyPolicy;
-    case RoutingAlgorithm::kYX: return kYxPolicy;
-    case RoutingAlgorithm::kWestFirst: return kWestFirstPolicy;
-    case RoutingAlgorithm::kAdaptive: return kAdaptivePolicy;
+void build_route_table(const Topology& topo, std::vector<std::uint8_t>& lut) {
+  switch (topo.routing()) {
+    // West-first keeps xy routes for credit walks; route_candidates
+    // computes its adaptive candidates.
+    case RoutingAlgorithm::kXY:
+    case RoutingAlgorithm::kWestFirst:
+      build_dor_lut(topo, lut, /*x_first=*/true);
+      return;
+    case RoutingAlgorithm::kYX:
+      build_dor_lut(topo, lut, /*x_first=*/false);
+      return;
+    case RoutingAlgorithm::kAdaptive:
+      build_updown_lut(topo, lut);
+      return;
   }
-  return kXyPolicy;
 }
 
 RoutingAlgorithm routing_from_name(const std::string& name) {
@@ -254,9 +220,9 @@ RoutingAlgorithm routing_from_name(const std::string& name) {
   throw std::invalid_argument("unknown routing algorithm: " + name);
 }
 
-int route_candidates(RoutingAlgorithm alg, const Topology& topo, NodeId cur,
-                     NodeId dst, std::array<Port, 2>& candidates) {
-  if (alg == RoutingAlgorithm::kWestFirst) {
+int route_candidates(const Topology& topo, NodeId cur, NodeId dst,
+                     std::array<Port, 2>& candidates) {
+  if (topo.routing() == RoutingAlgorithm::kWestFirst) {
     // Turn model: all westward movement happens first (no turn into West
     // is ever taken later), which breaks the cyclic channel dependencies.
     // Mesh-only and fault-free (enforced at configuration time), so the
@@ -279,20 +245,12 @@ int route_candidates(RoutingAlgorithm alg, const Topology& topo, NodeId cur,
     // or a single one); n is 1 or 2 here.
     return n;
   }
-  if (alg == topo.routing()) {
-    // The topology's routes were built by this policy (and reflect any hard
-    // faults after a rebuild), so the committed next hop is a few loads away.
-    const std::uint8_t r = topo.route_raw(cur, dst);
-    if (r == Topology::kUnreachable) return 0;
-    candidates[0] = static_cast<Port>(r);
-    return 1;
-  }
-  // Algorithm differs from the topology's configured policy (tests probing
-  // several algorithms against one topology): structural dimension-ordered
-  // routing. Only valid fault-free — routers always query with
-  // alg == topo.routing(), so the fault-adaptive path above covers them.
-  candidates[0] = static_cast<Port>(
-      topo.dor_route(cur, dst, /*x_first=*/alg != RoutingAlgorithm::kYX));
+  // The topology's routes were built by its own policy (and reflect any
+  // hard faults after a rebuild), so the committed next hop is a few loads
+  // away.
+  const std::uint8_t r = topo.route_raw(cur, dst);
+  if (r == Topology::kUnreachable) return 0;
+  candidates[0] = static_cast<Port>(r);
   return 1;
 }
 

@@ -1,14 +1,14 @@
 // Routing policies for the mesh / torus topology provider.
 //
-// The paper evaluates X-Y routing (Table II); this module generalizes route
-// computation behind a RoutingPolicy interface so the substrate can also run
-// Y-X, the west-first partially adaptive turn model (Glass & Ni), and a
-// fault-adaptive up*/down* policy. A policy's job is to (re)build the
-// Topology's per-pair route table for the current alive subgraph, or to leave
-// it empty when the Topology's per-dimension tables already answer every pair
-// (fault-free xy, yx, west-first) — virtual dispatch happens only at
-// (re)build time, never per flit; steady-state route computation stays a few
-// table loads (route_candidates below).
+// The paper evaluates X-Y routing (Table II); this module adds Y-X, the
+// west-first partially adaptive turn model (Glass & Ni), and a
+// fault-adaptive up*/down* policy. build_route_table (re)builds a
+// Topology's per-pair route table for the current alive subgraph under the
+// topology's own algorithm, or leaves it empty when the Topology's
+// per-dimension tables already answer every pair (fault-free xy, yx,
+// west-first) — the algorithm is dispatched only at (re)build time, never
+// per flit; steady-state route computation stays a few table loads
+// (route_candidates below).
 //
 // Deadlock freedom:
 //  * xy / yx on a mesh: dimension order forbids the second-dimension ->
@@ -47,32 +47,22 @@
 
 namespace rlftnoc {
 
-/// Builds the per-(cur, dst) route table for a topology's alive subgraph.
-/// Stateless; one shared instance per algorithm (routing_policy_for).
-class RoutingPolicy {
- public:
-  virtual ~RoutingPolicy() = default;
-  virtual const char* name() const noexcept = 0;
-  /// Fills `lut` ([cur * num_nodes + dst] -> port_index or
-  /// Topology::kUnreachable) for the current fault state of `topo`. The
-  /// dimension-ordered policies empty it instead while `topo` has no
-  /// faults: Topology::dor_route() then answers every pair.
-  virtual void build_lut(const Topology& topo,
-                         std::vector<std::uint8_t>& lut) const = 0;
-};
-
-/// The shared policy instance implementing `alg`.
-const RoutingPolicy& routing_policy_for(RoutingAlgorithm alg);
+/// Fills `lut` ([cur * num_nodes + dst] -> port_index or
+/// Topology::kUnreachable) for the current fault state of `topo`, under the
+/// topology's own routing algorithm. The dimension-ordered algorithms empty
+/// it instead while `topo` has no faults: Topology::dor_route() then answers
+/// every pair.
+void build_route_table(const Topology& topo, std::vector<std::uint8_t>& lut);
 
 /// Parses a routing name ("xy" | "yx" | "westfirst" | "adaptive"); throws
 /// std::invalid_argument otherwise.
 RoutingAlgorithm routing_from_name(const std::string& name);
 
-/// Minimal route candidates at `cur` toward `dst` under `alg`, in
-/// preference order. Returns the number of candidates written (0, 1 or 2);
-/// 0 means dst is unreachable from cur on the alive subgraph (hard faults);
-/// candidates[0] == kLocal means cur == dst.
-int route_candidates(RoutingAlgorithm alg, const Topology& topo, NodeId cur,
-                     NodeId dst, std::array<Port, 2>& candidates);
+/// Minimal route candidates at `cur` toward `dst` under the topology's own
+/// routing algorithm, in preference order. Returns the number of candidates
+/// written (0, 1 or 2); 0 means dst is unreachable from cur on the alive
+/// subgraph (hard faults); candidates[0] == kLocal means cur == dst.
+int route_candidates(const Topology& topo, NodeId cur, NodeId dst,
+                     std::array<Port, 2>& candidates);
 
 }  // namespace rlftnoc

@@ -1,8 +1,5 @@
 #include "noc/topology.h"
 
-#include <stdexcept>
-#include <string>
-
 #include "noc/routing.h"
 
 namespace rlftnoc {
@@ -31,19 +28,9 @@ std::vector<std::uint8_t> dimension_table(int size, bool torus, Port up,
 
 Topology::Topology(TopologyKind kind, int width, int height,
                    RoutingAlgorithm routing)
-    : kind_(kind),
-      width_(width),
-      height_(height),
+    : Grid(kind, width, height),
       routing_(routing),
       x_first_(routing != RoutingAlgorithm::kYX) {
-  if (width <= 0 || height <= 0)
-    throw std::invalid_argument(
-        "Topology: dimensions must be positive (got " + std::to_string(width) +
-        "x" + std::to_string(height) + ")");
-  if (kind == TopologyKind::kTorus && (width < 2 || height < 2))
-    throw std::invalid_argument(
-        "Topology: a torus needs width and height >= 2 (wrap links would "
-        "self-loop)");
   build_structure();
   rebuild_routes();
 }
@@ -54,21 +41,21 @@ void Topology::build_structure() {
   link_alive_.assign(n * kNumPorts, 0);
   router_alive_.assign(n, 1);
   xy_.resize(n);
-  const bool torus = kind_ == TopologyKind::kTorus;
-  x_port_ = dimension_table(width_, torus, Port::kEast, Port::kWest);
-  y_port_ = dimension_table(height_, torus, Port::kNorth, Port::kSouth);
+  const bool torus = kind() == TopologyKind::kTorus;
+  x_port_ = dimension_table(width(), torus, Port::kEast, Port::kWest);
+  y_port_ = dimension_table(height(), torus, Port::kNorth, Port::kSouth);
   for (NodeId id = 0; id < num_nodes(); ++id) {
     const Coord c = coord(id);
     xy_[static_cast<std::size_t>(id)] = c;
     NodeId* row = nbr_.data() + static_cast<std::size_t>(id) * kNumPorts;
     row[port_index(Port::kNorth)] =
-        c.y + 1 < height_ ? node(c.x, c.y + 1) : torus ? node(c.x, 0) : kInvalidNode;
+        c.y + 1 < height() ? node(c.x, c.y + 1) : torus ? node(c.x, 0) : kInvalidNode;
     row[port_index(Port::kSouth)] =
-        c.y > 0 ? node(c.x, c.y - 1) : torus ? node(c.x, height_ - 1) : kInvalidNode;
+        c.y > 0 ? node(c.x, c.y - 1) : torus ? node(c.x, height() - 1) : kInvalidNode;
     row[port_index(Port::kEast)] =
-        c.x + 1 < width_ ? node(c.x + 1, c.y) : torus ? node(0, c.y) : kInvalidNode;
+        c.x + 1 < width() ? node(c.x + 1, c.y) : torus ? node(0, c.y) : kInvalidNode;
     row[port_index(Port::kWest)] =
-        c.x > 0 ? node(c.x - 1, c.y) : torus ? node(width_ - 1, c.y) : kInvalidNode;
+        c.x > 0 ? node(c.x - 1, c.y) : torus ? node(width() - 1, c.y) : kInvalidNode;
     for (const Port p : kAllPorts) {
       if (p == Port::kLocal) continue;
       // A 1-wide/1-tall mesh degenerates to a path (or a single node): the
@@ -105,7 +92,7 @@ bool Topology::kill_router(NodeId n) {
 }
 
 void Topology::rebuild_routes() {
-  routing_policy_for(routing_).build_lut(*this, pair_route_);
+  build_route_table(*this, pair_route_);
 }
 
 }  // namespace rlftnoc

@@ -1,6 +1,7 @@
-// Pluggable topology provider: coordinate mapping, structural neighbours,
-// per-link / per-router aliveness (hard faults) and route computation for
-// every routing policy (see noc/routing.h).
+// Route state: a Grid (noc/grid.h, geometry only) plus structural
+// neighbours, per-link / per-router aliveness (hard faults) and the route
+// tables of every routing policy (see noc/routing.h). Network builds the
+// run's only Topology; it is move-only, so no route table is duplicated.
 //
 // Two shapes are supported: the paper's open-edged 2D mesh (Table II) and a
 // 2D torus with wrap-around links in both dimensions. Structure and health
@@ -21,49 +22,35 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "common/check.h"
 #include "common/types.h"
+#include "noc/grid.h"
 #include "noc/noc_config.h"
 
 namespace rlftnoc {
 
-/// Topology + fault masks + route tables for a W x H mesh or torus
-/// (row-major, x fastest). Copyable; copies carry the fault state and route
-/// tables at copy time.
-class Topology {
+/// Grid + fault masks + route tables for a W x H mesh or torus. Move-only:
+/// the route tables (up to N^2 bytes) have one owner.
+class Topology : public Grid {
  public:
   /// Route sentinel for "no route" (dst unreachable from cur on the alive
   /// subgraph, or an endpoint router is dead).
   static constexpr std::uint8_t kUnreachable = 0xFF;
 
-  /// Back-compat mesh constructor (XY routing). Throws std::invalid_argument
-  /// on non-positive dimensions.
-  Topology(int width, int height)
-      : Topology(TopologyKind::kMesh, width, height, RoutingAlgorithm::kXY) {}
-
-  /// Full constructor. Throws std::invalid_argument on non-positive
-  /// dimensions, or a torus smaller than 2x2 (wrap links would self-loop).
+  /// Throws std::invalid_argument on dimensions Grid rejects.
   Topology(TopologyKind kind, int width, int height, RoutingAlgorithm routing);
 
   explicit Topology(const NocConfig& cfg)
       : Topology(cfg.topology, cfg.mesh_width, cfg.mesh_height, cfg.routing) {}
 
-  TopologyKind kind() const noexcept { return kind_; }
+  Topology(const Topology&) = delete;
+  Topology& operator=(const Topology&) = delete;
+  Topology(Topology&&) = default;
+  Topology& operator=(Topology&&) = default;
+
   RoutingAlgorithm routing() const noexcept { return routing_; }
-  int width() const noexcept { return width_; }
-  int height() const noexcept { return height_; }
-  int num_nodes() const noexcept { return width_ * height_; }
-
-  Coord coord(NodeId n) const noexcept {
-    return Coord{n % width_, n / width_};
-  }
-  NodeId node(Coord c) const noexcept { return c.y * width_ + c.x; }
-  NodeId node(int x, int y) const noexcept { return y * width_ + x; }
-
-  bool valid(NodeId n) const noexcept { return n >= 0 && n < num_nodes(); }
 
   /// Structural neighbour through port `p`: kInvalidNode at a mesh edge and
   /// for Local, the wrap neighbour at a torus edge. Ignores link health.
@@ -80,21 +67,6 @@ class Topology {
 
   bool router_alive(NodeId n) const noexcept {
     return router_alive_[static_cast<std::size_t>(n)] != 0;
-  }
-
-  /// True when the link out of `n` through `p` is a torus wrap-around link
-  /// (crosses the dateline of its dimension). Always false on a mesh.
-  bool wrap_link(NodeId n, Port p) const noexcept {
-    if (kind_ != TopologyKind::kTorus || p == Port::kLocal) return false;
-    const Coord c = coord(n);
-    switch (p) {
-      case Port::kNorth: return c.y == height_ - 1;
-      case Port::kSouth: return c.y == 0;
-      case Port::kEast: return c.x == width_ - 1;
-      case Port::kWest: return c.x == 0;
-      case Port::kLocal: return false;
-    }
-    return false;
   }
 
   /// Marks the (bidirectional) link `n <-> neighbor(n, p)` dead. Returns
@@ -125,10 +97,10 @@ class Topology {
     const Coord c = xy_[static_cast<std::size_t>(cur)];
     const Coord d = xy_[static_cast<std::size_t>(dst)];
     const std::uint8_t px =
-        x_port_[static_cast<std::size_t>(c.x) * static_cast<std::size_t>(width_) +
+        x_port_[static_cast<std::size_t>(c.x) * static_cast<std::size_t>(width()) +
                 static_cast<std::size_t>(d.x)];
     const std::uint8_t py =
-        y_port_[static_cast<std::size_t>(c.y) * static_cast<std::size_t>(height_) +
+        y_port_[static_cast<std::size_t>(c.y) * static_cast<std::size_t>(height()) +
                 static_cast<std::size_t>(d.y)];
     constexpr auto kLocalIdx = static_cast<std::uint8_t>(port_index(Port::kLocal));
     if (x_first) return px != kLocalIdx ? px : py;
@@ -166,28 +138,9 @@ class Topology {
     return route_raw(cur, dst) != kUnreachable;
   }
 
-  /// Structural minimal hop distance: Manhattan on a mesh, per-dimension
-  /// min(d, size - d) on a torus. Ignores faults (used for e2e control
-  /// message latency and per-hop reward normalization, where the structural
-  /// estimate is the stable choice).
-  int distance(NodeId a, NodeId b) const noexcept {
-    const Coord ca = coord(a);
-    const Coord cb = coord(b);
-    int dx = std::abs(ca.x - cb.x);
-    int dy = std::abs(ca.y - cb.y);
-    if (kind_ == TopologyKind::kTorus) {
-      dx = dx < width_ - dx ? dx : width_ - dx;
-      dy = dy < height_ - dy ? dy : height_ - dy;
-    }
-    return dx + dy;
-  }
-
  private:
   void build_structure();
 
-  TopologyKind kind_;
-  int width_;
-  int height_;
   RoutingAlgorithm routing_;
   bool x_first_;  ///< dimension order of dor_route for routing_ (yx: false)
   int dead_links_ = 0;
@@ -206,8 +159,5 @@ class Topology {
   /// routing; see rebuild_routes().
   std::vector<std::uint8_t> pair_route_;
 };
-
-/// The pre-fault-era name; every mesh call site still works unchanged.
-using MeshTopology = Topology;
 
 }  // namespace rlftnoc

@@ -42,15 +42,15 @@ std::unique_ptr<TrafficGenerator> make_traffic(const std::string& selector,
                                                const SimOptions& opt,
                                                const Config& wl_cfg,
                                                std::uint64_t budget_pct) {
-  const MeshTopology topo(opt.noc);
+  const Grid grid(opt.noc);
   if (looks_like_workload_path(selector)) {
     return std::make_unique<WorkloadReplayTraffic>(
-        read_workload_file(selector), topo.num_nodes(), opt.seed);
+        read_workload_file(selector), grid.num_nodes(), opt.seed);
   }
   if (is_builtin_workload(selector)) {
     return std::make_unique<WorkloadReplayTraffic>(
-        make_builtin_workload(selector, topo, wl_cfg, opt.seed),
-        topo.num_nodes(), opt.seed);
+        make_builtin_workload(selector, grid, wl_cfg, opt.seed),
+        grid.num_nodes(), opt.seed);
   }
   for (const ParsecProfile& p : parsec_suite()) {
     if (p.name != selector) continue;
@@ -59,7 +59,7 @@ std::unique_ptr<TrafficGenerator> make_traffic(const std::string& selector,
     // would yield an all-zero row that the normalized tables silently skip.
     profile.total_packets =
         std::max<std::uint64_t>(1, profile.total_packets * budget_pct / 100);
-    return std::make_unique<ParsecTraffic>(topo, profile, opt.seed);
+    return std::make_unique<ParsecTraffic>(grid, profile, opt.seed);
   }
   if (const auto pattern = traffic_pattern_from_name(selector)) {
     SyntheticTraffic::Options o;
@@ -67,7 +67,7 @@ std::unique_ptr<TrafficGenerator> make_traffic(const std::string& selector,
     o.injection_rate = wl_cfg.get_double("injection_rate", 0.06);
     o.total_packets =
         static_cast<std::uint64_t>(wl_cfg.get_int("packets", 50000));
-    return std::make_unique<SyntheticTraffic>(topo, o, opt.seed);
+    return std::make_unique<SyntheticTraffic>(grid, o, opt.seed);
   }
   throw ConfigError("unknown workload '" + selector +
                     "' (a workload file path, built-in generator "

@@ -22,7 +22,8 @@ SimOptions sim_options_from_config(const Config& cfg) {
     const char* key;
     const char* replacement;
   } kRetired[] = {{"trace", "workload=<file>"},
-                  {"step_cycles", "ctrl.step_cycles"}};
+                  {"step_cycles", "ctrl.step_cycles"},
+                  {"noc.flits_per_packet", "a workload file's per-transfer len"}};
   for (const auto& r : kRetired) {
     if (cfg.contains(r.key)) {
       throw ConfigError(std::string("key '") + r.key +

@@ -5,8 +5,9 @@
 // error_scale, phase lengths), `noc.*` (NocConfig::from_config), `rl.*` (Q-learning
 // hyper-parameters), `ctrl.*` (controller/coupling), `varius.*`,
 // `thermal.*`, `power.leak_*`. Unknown keys are ignored by design — the
-// caller owns workload keys etc. — except the retired `trace` and
-// `step_cycles` keys, which throw ConfigError naming their replacement.
+// caller owns workload keys etc. — except the retired `trace`,
+// `step_cycles` and `noc.flits_per_packet` keys, which throw ConfigError
+// naming their replacement.
 #pragma once
 
 #include "common/config.h"

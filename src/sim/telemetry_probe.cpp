@@ -188,7 +188,7 @@ void SimTelemetryProbe::begin_measure(Cycle /*now*/) {
 }
 
 std::vector<HeatmapGrid> SimTelemetryProbe::heatmaps() const {
-  const MeshTopology& topo = net_.topology();
+  const Topology& topo = net_.topology();
   const int n = net_.config().num_nodes();
   const auto nn = static_cast<std::size_t>(n);
 

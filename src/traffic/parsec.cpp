@@ -55,24 +55,24 @@ const ParsecProfile& parsec_profile(const std::string& name) {
   throw std::invalid_argument("unknown PARSEC profile: " + name);
 }
 
-std::vector<NodeId> default_mc_nodes(const MeshTopology& topo) {
+std::vector<NodeId> default_mc_nodes(const Grid& grid) {
   // One controller per quadrant, one tile in from the corner (a common
   // CMP floorplan); degenerates gracefully on small meshes.
-  const int x0 = std::min(1, topo.width() - 1);
-  const int y0 = std::min(1, topo.height() - 1);
-  const int x1 = std::max(topo.width() - 2, 0);
-  const int y1 = std::max(topo.height() - 2, 0);
-  return {topo.node(x0, y0), topo.node(x1, y0), topo.node(x0, y1),
-          topo.node(x1, y1)};
+  const int x0 = std::min(1, grid.width() - 1);
+  const int y0 = std::min(1, grid.height() - 1);
+  const int x1 = std::max(grid.width() - 2, 0);
+  const int y1 = std::max(grid.height() - 2, 0);
+  return {grid.node(x0, y0), grid.node(x1, y0), grid.node(x0, y1),
+          grid.node(x1, y1)};
 }
 
-ParsecTraffic::ParsecTraffic(const MeshTopology& topo, ParsecProfile profile,
+ParsecTraffic::ParsecTraffic(const Grid& grid, ParsecProfile profile,
                              std::uint64_t seed)
-    : topo_(topo),
+    : grid_(grid),
       profile_(std::move(profile)),
       rng_(seed, "parsec:" + profile_.name),
-      bursting_(static_cast<std::size_t>(topo.num_nodes()), false),
-      mc_nodes_(default_mc_nodes(topo)) {}
+      bursting_(static_cast<std::size_t>(grid.num_nodes()), false),
+      mc_nodes_(default_mc_nodes(grid)) {}
 
 NodeId ParsecTraffic::pick_destination(NodeId src) {
   if (rng_.bernoulli(profile_.mc_fraction)) {
@@ -80,21 +80,21 @@ NodeId ParsecTraffic::pick_destination(NodeId src) {
     // interleaved in reality; nearest keeps it simple and still spatial).
     NodeId best = mc_nodes_.front();
     for (const NodeId mc : mc_nodes_) {
-      if (topo_.distance(src, mc) < topo_.distance(src, best)) best = mc;
+      if (grid_.distance(src, mc) < grid_.distance(src, best)) best = mc;
     }
     if (best != src) return best;
   }
   if (rng_.bernoulli(profile_.locality)) {
     // Nearby destination: uniform over the Manhattan ball around src.
     std::vector<NodeId> nearby;
-    const Coord c = topo_.coord(src);
+    const Coord c = grid_.coord(src);
     for (int dy = -profile_.locality_radius; dy <= profile_.locality_radius; ++dy) {
       for (int dx = -profile_.locality_radius; dx <= profile_.locality_radius; ++dx) {
         if (std::abs(dx) + std::abs(dy) > profile_.locality_radius) continue;
         const int x = c.x + dx;
         const int y = c.y + dy;
-        if (x < 0 || x >= topo_.width() || y < 0 || y >= topo_.height()) continue;
-        const NodeId cand = topo_.node(x, y);
+        if (x < 0 || x >= grid_.width() || y < 0 || y >= grid_.height()) continue;
+        const NodeId cand = grid_.node(x, y);
         if (cand != src) nearby.push_back(cand);
       }
     }
@@ -102,7 +102,7 @@ NodeId ParsecTraffic::pick_destination(NodeId src) {
   }
   NodeId dst = src;
   while (dst == src)
-    dst = static_cast<NodeId>(rng_.next_below(static_cast<std::uint64_t>(topo_.num_nodes())));
+    dst = static_cast<NodeId>(rng_.next_below(static_cast<std::uint64_t>(grid_.num_nodes())));
   return dst;
 }
 
@@ -124,7 +124,7 @@ void ParsecTraffic::tick(Cycle now, std::vector<Packet>& out) {
       base_rate * profile_.burst_on_rate_scale / avg_len);
   const std::uint64_t off_gate = Rng::bernoulli_gate(base_rate / avg_len);
 
-  for (NodeId src = 0; src < topo_.num_nodes(); ++src) {
+  for (NodeId src = 0; src < grid_.num_nodes(); ++src) {
     if (exhausted()) break;
     auto idx = static_cast<std::size_t>(src);
     if (bursting_[idx]) {

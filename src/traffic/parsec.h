@@ -39,7 +39,7 @@ struct ParsecProfile {
 };
 
 /// Default memory-controller placement: one per mesh quadrant.
-std::vector<NodeId> default_mc_nodes(const MeshTopology& topo);
+std::vector<NodeId> default_mc_nodes(const Grid& grid);
 
 /// The eight benchmark profiles used in the evaluation (Figs. 6-10).
 const std::vector<ParsecProfile>& parsec_suite();
@@ -50,7 +50,7 @@ const ParsecProfile& parsec_profile(const std::string& name);
 /// Markov-modulated packet source implementing a ParsecProfile.
 class ParsecTraffic final : public TrafficGenerator {
  public:
-  ParsecTraffic(const MeshTopology& topo, ParsecProfile profile, std::uint64_t seed);
+  ParsecTraffic(const Grid& grid, ParsecProfile profile, std::uint64_t seed);
 
   void tick(Cycle now, std::vector<Packet>& out) override;
   bool exhausted() const override { return generated_ >= profile_.total_packets; }
@@ -62,7 +62,7 @@ class ParsecTraffic final : public TrafficGenerator {
  private:
   NodeId pick_destination(NodeId src);
 
-  MeshTopology topo_;
+  Grid grid_;
   ParsecProfile profile_;
   Rng rng_;
   std::vector<bool> bursting_;  ///< per-node ON/OFF state

@@ -30,21 +30,21 @@ std::optional<TrafficPattern> traffic_pattern_from_name(const std::string& name)
   return std::nullopt;
 }
 
-NodeId pattern_destination(TrafficPattern p, NodeId src, const MeshTopology& topo) {
-  const int n = topo.num_nodes();
-  const Coord c = topo.coord(src);
+NodeId pattern_destination(TrafficPattern p, NodeId src, const Grid& grid) {
+  const int n = grid.num_nodes();
+  const Coord c = grid.coord(src);
   switch (p) {
     case TrafficPattern::kTranspose:
       // Meaningful on square meshes; clamp on rectangles.
-      return topo.node(c.y % topo.width(), c.x % topo.height());
+      return grid.node(c.y % grid.width(), c.x % grid.height());
     case TrafficPattern::kBitComplement: {
       const int bits = std::bit_width(static_cast<unsigned>(n - 1));
       return (~src) & ((1 << bits) - 1) & (n - 1);
     }
     case TrafficPattern::kTornado:
-      return topo.node((c.x + topo.width() / 2 - 1 + topo.width()) % topo.width(), c.y);
+      return grid.node((c.x + grid.width() / 2 - 1 + grid.width()) % grid.width(), c.y);
     case TrafficPattern::kNeighbor:
-      return topo.node((c.x + 1) % topo.width(), c.y);
+      return grid.node((c.x + 1) % grid.width(), c.y);
     case TrafficPattern::kBitReverse: {
       const int bits = std::bit_width(static_cast<unsigned>(n - 1));
       int rev = 0;
@@ -65,16 +65,16 @@ NodeId pattern_destination(TrafficPattern p, NodeId src, const MeshTopology& top
   return kInvalidNode;
 }
 
-SyntheticTraffic::SyntheticTraffic(const MeshTopology& topo, Options opt,
+SyntheticTraffic::SyntheticTraffic(const Grid& grid, Options opt,
                                    std::uint64_t seed)
-    : topo_(topo), opt_(opt), rng_(seed, "synthetic"),
+    : grid_(grid), opt_(opt), rng_(seed, "synthetic"),
       name_(traffic_pattern_name(opt.pattern)) {
   if (opt_.pattern == TrafficPattern::kHotspot && opt_.hotspots.empty()) {
     // Default hot nodes: the four central tiles.
-    const int cx = topo_.width() / 2;
-    const int cy = topo_.height() / 2;
-    opt_.hotspots = {topo_.node(cx, cy), topo_.node(cx - 1, cy),
-                     topo_.node(cx, cy - 1), topo_.node(cx - 1, cy - 1)};
+    const int cx = grid_.width() / 2;
+    const int cy = grid_.height() / 2;
+    opt_.hotspots = {grid_.node(cx, cy), grid_.node(cx - 1, cy),
+                     grid_.node(cx, cy - 1), grid_.node(cx - 1, cy - 1)};
   }
 }
 
@@ -83,7 +83,7 @@ NodeId SyntheticTraffic::pick_destination(NodeId src) {
     case TrafficPattern::kUniform: {
       NodeId dst = src;
       while (dst == src)
-        dst = static_cast<NodeId>(rng_.next_below(static_cast<std::uint64_t>(topo_.num_nodes())));
+        dst = static_cast<NodeId>(rng_.next_below(static_cast<std::uint64_t>(grid_.num_nodes())));
       return dst;
     }
     case TrafficPattern::kHotspot: {
@@ -93,11 +93,11 @@ NodeId SyntheticTraffic::pick_destination(NodeId src) {
       }
       NodeId dst = src;
       while (dst == src)
-        dst = static_cast<NodeId>(rng_.next_below(static_cast<std::uint64_t>(topo_.num_nodes())));
+        dst = static_cast<NodeId>(rng_.next_below(static_cast<std::uint64_t>(grid_.num_nodes())));
       return dst;
     }
     default: {
-      const NodeId dst = pattern_destination(opt_.pattern, src, topo_);
+      const NodeId dst = pattern_destination(opt_.pattern, src, grid_);
       return dst == src ? kInvalidNode : dst;
     }
   }
@@ -108,7 +108,7 @@ void SyntheticTraffic::tick(Cycle now, std::vector<Packet>& out) {
   // Compiled once per tick; bit-identical to bernoulli(p) (see rng.h).
   const std::uint64_t gate =
       Rng::bernoulli_gate(opt_.injection_rate / opt_.packet_len);
-  for (NodeId src = 0; src < topo_.num_nodes(); ++src) {
+  for (NodeId src = 0; src < grid_.num_nodes(); ++src) {
     if (exhausted()) break;
     if (!rng_.bernoulli_gated(gate)) continue;
     const NodeId dst = pick_destination(src);
@@ -118,10 +118,10 @@ void SyntheticTraffic::tick(Cycle now, std::vector<Packet>& out) {
   }
 }
 
-PretrainTraffic::PretrainTraffic(const MeshTopology& topo, std::uint64_t seed,
+PretrainTraffic::PretrainTraffic(const Grid& grid, std::uint64_t seed,
                                  std::vector<double> rate_levels, Cycle level_period,
                                  int packet_len)
-    : topo_(topo),
+    : grid_(grid),
       rng_(seed, "pretrain"),
       levels_(std::move(rate_levels)),
       period_(level_period),
@@ -136,14 +136,14 @@ void PretrainTraffic::tick(Cycle now, std::vector<Packet>& out) {
   // Alternate uniform and hotspot halves within each level period so the
   // agents see both flat and spatially concentrated thermal regimes.
   const bool hotspot_half = (now / (period_ / 2)) % 2 == 1;
-  const int w = topo_.width();
-  const int h = topo_.height();
+  const int w = grid_.width();
+  const int h = grid_.height();
   const std::array<NodeId, 4> hot = {
-      topo_.node(std::min(1, w - 1), std::min(1, h - 1)),
-      topo_.node(std::max(w - 2, 0), std::min(1, h - 1)),
-      topo_.node(std::min(1, w - 1), std::max(h - 2, 0)),
-      topo_.node(std::max(w - 2, 0), std::max(h - 2, 0))};
-  for (NodeId src = 0; src < topo_.num_nodes(); ++src) {
+      grid_.node(std::min(1, w - 1), std::min(1, h - 1)),
+      grid_.node(std::max(w - 2, 0), std::min(1, h - 1)),
+      grid_.node(std::min(1, w - 1), std::max(h - 2, 0)),
+      grid_.node(std::max(w - 2, 0), std::max(h - 2, 0))};
+  for (NodeId src = 0; src < grid_.num_nodes(); ++src) {
     if (!rng_.bernoulli_gated(gate)) continue;
     NodeId dst = src;
     if (hotspot_half && rng_.bernoulli(0.45)) {
@@ -152,7 +152,7 @@ void PretrainTraffic::tick(Cycle now, std::vector<Packet>& out) {
     } else {
       while (dst == src)
         dst = static_cast<NodeId>(
-            rng_.next_below(static_cast<std::uint64_t>(topo_.num_nodes())));
+            rng_.next_below(static_cast<std::uint64_t>(grid_.num_nodes())));
     }
     out.push_back(make_packet(next_id_++, src, dst, packet_len_, now, rng_));
   }

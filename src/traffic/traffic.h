@@ -14,7 +14,7 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "noc/flit.h"
-#include "noc/topology.h"
+#include "noc/grid.h"
 
 namespace rlftnoc {
 
@@ -51,7 +51,7 @@ std::optional<TrafficPattern> traffic_pattern_from_name(const std::string& name)
 
 /// Resolves the destination for `src` under a pattern (hotspot handled by
 /// the generator itself since it needs randomness).
-NodeId pattern_destination(TrafficPattern p, NodeId src, const MeshTopology& topo);
+NodeId pattern_destination(TrafficPattern p, NodeId src, const Grid& grid);
 
 /// Open-loop Bernoulli injection of a synthetic pattern.
 ///
@@ -69,7 +69,7 @@ class SyntheticTraffic final : public TrafficGenerator {
     std::vector<NodeId> hotspots;         ///< defaults to the mesh center
   };
 
-  SyntheticTraffic(const MeshTopology& topo, Options opt, std::uint64_t seed);
+  SyntheticTraffic(const Grid& grid, Options opt, std::uint64_t seed);
 
   void tick(Cycle now, std::vector<Packet>& out) override;
   bool exhausted() const override {
@@ -82,7 +82,7 @@ class SyntheticTraffic final : public TrafficGenerator {
  private:
   NodeId pick_destination(NodeId src);
 
-  MeshTopology topo_;
+  Grid grid_;
   Options opt_;
   Rng rng_;
   std::string name_;
@@ -96,7 +96,7 @@ class SyntheticTraffic final : public TrafficGenerator {
 /// pre-trains for 1M cycles "using synthetic traffic").
 class PretrainTraffic final : public TrafficGenerator {
  public:
-  PretrainTraffic(const MeshTopology& topo, std::uint64_t seed,
+  PretrainTraffic(const Grid& grid, std::uint64_t seed,
                   std::vector<double> rate_levels = {0.02, 0.04, 0.07, 0.10},
                   Cycle level_period = 20000, int packet_len = 4);
 
@@ -105,7 +105,7 @@ class PretrainTraffic final : public TrafficGenerator {
   const std::string& name() const override { return name_; }
 
  private:
-  MeshTopology topo_;
+  Grid grid_;
   Rng rng_;
   std::vector<double> levels_;
   Cycle period_;

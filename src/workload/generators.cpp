@@ -12,9 +12,9 @@ namespace {
 
 /// Deterministic seeded permutation of all node ids (Fisher-Yates driven by
 /// the project Rng, so placement is identical across hosts and runs).
-std::vector<NodeId> shuffled_nodes(const MeshTopology& topo,
+std::vector<NodeId> shuffled_nodes(const Grid& grid,
                                    std::uint64_t seed, const char* tag) {
-  std::vector<NodeId> nodes(static_cast<std::size_t>(topo.num_nodes()));
+  std::vector<NodeId> nodes(static_cast<std::size_t>(grid.num_nodes()));
   std::iota(nodes.begin(), nodes.end(), NodeId{0});
   Rng rng(seed, tag);
   for (std::size_t i = nodes.size(); i > 1; --i) {
@@ -30,14 +30,14 @@ int clamp_min(std::int64_t v, int lo) {
 
 }  // namespace
 
-Workload make_dnn_workload(const MeshTopology& topo,
+Workload make_dnn_workload(const Grid& grid,
                            const DnnWorkloadOptions& opt, std::uint64_t seed) {
-  const int n = topo.num_nodes();
+  const int n = grid.num_nodes();
   const int layers = std::max(opt.layers, 2);
   const int per_layer = std::max(1, std::min(opt.nodes_per_layer, n));
   const int fan_in = std::max(1, std::min(opt.fan_in, per_layer));
   const int len = std::max(opt.packet_len, 1);
-  const std::vector<NodeId> perm = shuffled_nodes(topo, seed, "wl-dnn");
+  const std::vector<NodeId> perm = shuffled_nodes(grid, seed, "wl-dnn");
 
   const auto layer_node = [&](int layer, int j) {
     return perm[static_cast<std::size_t>(
@@ -78,10 +78,10 @@ Workload make_dnn_workload(const MeshTopology& topo,
   return wl;
 }
 
-Workload make_rpc_workload(const MeshTopology& topo,
+Workload make_rpc_workload(const Grid& grid,
                            const RpcWorkloadOptions& opt, std::uint64_t seed) {
-  const int n = topo.num_nodes();
-  const std::vector<NodeId> perm = shuffled_nodes(topo, seed, "wl-rpc");
+  const int n = grid.num_nodes();
+  const std::vector<NodeId> perm = shuffled_nodes(grid, seed, "wl-rpc");
   const int clients = std::max(1, std::min(opt.clients, n - 1));
   const int servers = std::max(1, std::min(opt.servers, n - clients));
   const int requests = std::max(opt.requests_per_client, 1);
@@ -139,17 +139,17 @@ Workload make_rpc_workload(const MeshTopology& topo,
   return wl;
 }
 
-Workload make_nack_storm_workload(const MeshTopology& topo,
+Workload make_nack_storm_workload(const Grid& grid,
                                   const NackStormWorkloadOptions& opt,
                                   std::uint64_t seed) {
-  const int n = topo.num_nodes();
+  const int n = grid.num_nodes();
   NodeId victim = opt.victim;
   if (victim < 0 || victim >= n) {
     // Mesh centre: the node every attacker's minimal path converges on.
-    victim = static_cast<NodeId>((topo.height() / 2) * topo.width() +
-                                 topo.width() / 2);
+    victim = static_cast<NodeId>((grid.height() / 2) * grid.width() +
+                                 grid.width() / 2);
   }
-  const std::vector<NodeId> perm = shuffled_nodes(topo, seed, "wl-nackstorm");
+  const std::vector<NodeId> perm = shuffled_nodes(grid, seed, "wl-nackstorm");
   const int attackers = std::max(1, std::min(opt.attackers, n - 1));
   const int waves = std::max(opt.waves, 1);
   const int burst = std::max(opt.packets_per_wave, 1);
@@ -233,17 +233,17 @@ bool is_builtin_workload(const std::string& name) {
 }
 
 Workload make_builtin_workload(const std::string& name,
-                               const MeshTopology& topo, const Config& cfg,
+                               const Grid& grid, const Config& cfg,
                                std::uint64_t seed) {
   if (name == "dnn") {
-    return make_dnn_workload(topo, dnn_workload_options_from_config(cfg), seed);
+    return make_dnn_workload(grid, dnn_workload_options_from_config(cfg), seed);
   }
   if (name == "rpc") {
-    return make_rpc_workload(topo, rpc_workload_options_from_config(cfg), seed);
+    return make_rpc_workload(grid, rpc_workload_options_from_config(cfg), seed);
   }
   if (name == "nackstorm") {
     return make_nack_storm_workload(
-        topo, nack_storm_workload_options_from_config(cfg), seed);
+        grid, nack_storm_workload_options_from_config(cfg), seed);
   }
   throw WorkloadError("unknown built-in workload generator '" + name +
                       "' (have: dnn, rpc, nackstorm)");

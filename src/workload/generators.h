@@ -14,7 +14,7 @@
 //    wave's completions, sustaining worst-case many-to-one pressure that
 //    adapts to whatever throughput the victim's links allow.
 //
-// All generators are pure functions of (topology, options, seed): the seed
+// All generators are pure functions of (grid, options, seed): the seed
 // drives only the deterministic node-placement shuffle, so the same inputs
 // always produce byte-identical workloads.
 #pragma once
@@ -24,7 +24,7 @@
 
 #include "common/config.h"
 #include "common/types.h"
-#include "noc/topology.h"
+#include "noc/grid.h"
 #include "workload/workload.h"
 
 namespace rlftnoc {
@@ -55,11 +55,11 @@ struct NackStormWorkloadOptions {
   int packet_len = 4;
 };
 
-Workload make_dnn_workload(const MeshTopology& topo,
+Workload make_dnn_workload(const Grid& grid,
                            const DnnWorkloadOptions& opt, std::uint64_t seed);
-Workload make_rpc_workload(const MeshTopology& topo,
+Workload make_rpc_workload(const Grid& grid,
                            const RpcWorkloadOptions& opt, std::uint64_t seed);
-Workload make_nack_storm_workload(const MeshTopology& topo,
+Workload make_nack_storm_workload(const Grid& grid,
                                   const NackStormWorkloadOptions& opt,
                                   std::uint64_t seed);
 
@@ -75,7 +75,7 @@ bool is_builtin_workload(const std::string& name);
 /// Builds the named generator's workload with options taken from `cfg`
 /// (see *_options_from_config). Throws WorkloadError on unknown names.
 Workload make_builtin_workload(const std::string& name,
-                               const MeshTopology& topo, const Config& cfg,
+                               const Grid& grid, const Config& cfg,
                                std::uint64_t seed);
 
 }  // namespace rlftnoc

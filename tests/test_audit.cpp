@@ -22,6 +22,9 @@
 namespace rlftnoc {
 namespace {
 
+/// Table II data packets: 4 flits.
+constexpr int kPacketLen = 4;
+
 NocConfig tiny_mesh() {
   NocConfig cfg;
   cfg.mesh_width = 4;
@@ -73,7 +76,7 @@ TEST(Audit, FaultHeavyArqTrafficAuditsCleanEveryCycle) {
                                          static_cast<std::uint64_t>(cfg.num_nodes()));
     if (src == dst) continue;
     net.ni(src).enqueue_packet(make_packet(next_id++, src, dst,
-                                           cfg.flits_per_packet, 0,
+                                           kPacketLen, 0,
                                            net.payload_rng()));
   }
 
@@ -117,7 +120,7 @@ TEST(Audit, DroopAccountingBalancesOnEveryLiveInjector) {
                                          static_cast<std::uint64_t>(cfg.num_nodes()));
     if (src == dst) continue;
     net.ni(src).enqueue_packet(make_packet(next_id++, src, dst,
-                                           cfg.flits_per_packet, 0,
+                                           kPacketLen, 0,
                                            net.payload_rng()));
   }
   for (int i = 0; i < 20000 && !net.drained(); ++i) net.step();
@@ -167,7 +170,7 @@ TEST(Audit, MaskConsistencyUnderMidRunKillsEveryCycle) {
   SyntheticTraffic::Options o;
   o.injection_rate = 0.05;
   o.total_packets = 1200;
-  SyntheticTraffic gen(MeshTopology(opt.noc), o, opt.seed);
+  SyntheticTraffic gen(Grid(opt.noc), o, opt.seed);
   const SimResult r = sim.run(gen);
   EXPECT_TRUE(r.drained);
   EXPECT_GT(r.packets_delivered, 0u);
@@ -204,7 +207,7 @@ TEST_P(LaneOccupancyAudit, CleanEveryCycleThroughMidRunKills) {
   SyntheticTraffic::Options o;
   o.injection_rate = 0.05;
   o.total_packets = 1000;
-  SyntheticTraffic gen(MeshTopology(opt.noc), o, opt.seed);
+  SyntheticTraffic gen(Grid(opt.noc), o, opt.seed);
   const SimResult r = sim.run(gen);
   EXPECT_TRUE(r.drained);
   EXPECT_GT(r.packets_delivered, 0u);
@@ -278,7 +281,7 @@ TEST_P(BusyWorklistAudit, SkipDeltasMatchLiveBusyCountsEveryCycle) {
       const auto dst = static_cast<NodeId>(traffic.next_below(nodes));
       // Single-flit packets let an NI go idle in a cycle its router skips,
       // so only the union list's hot-byte refresh can record it.
-      const int len = traffic.bernoulli(0.5) ? 1 : cfg.flits_per_packet;
+      const int len = traffic.bernoulli(0.5) ? 1 : kPacketLen;
       if (src != dst)
         net.ni(src).enqueue_packet(
             make_packet(next_id++, src, dst, len, c, net.payload_rng()));
@@ -426,7 +429,7 @@ TEST(Audit, SimulatorIntegrationAuditsCleanRun) {
   SyntheticTraffic::Options to;
   to.injection_rate = 0.06;
   to.total_packets = 800;
-  SyntheticTraffic gen(MeshTopology(opt.noc), to, opt.seed);
+  SyntheticTraffic gen(Grid(opt.noc), to, opt.seed);
 
   SimResult res;
   ASSERT_NO_THROW(res = sim.run(gen));
@@ -448,7 +451,7 @@ TEST(Audit, SimulatorAuditIntervalThins) {
   SyntheticTraffic::Options to;
   to.injection_rate = 0.05;
   to.total_packets = 200;
-  SyntheticTraffic gen(MeshTopology(opt.noc), to, opt.seed);
+  SyntheticTraffic gen(Grid(opt.noc), to, opt.seed);
   const SimResult res = sim.run(gen);
   EXPECT_TRUE(res.drained);
   const std::uint64_t passes = sim.auditor()->clean_passes();

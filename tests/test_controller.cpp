@@ -69,7 +69,7 @@ TEST(Controller, TemperatureRisesUnderTraffic) {
   SyntheticTraffic::Options o;
   o.injection_rate = 0.15;
   o.total_packets = 0;
-  SyntheticTraffic gen(MeshTopology(cfg4()), o, 2);
+  SyntheticTraffic gen(Grid(cfg4()), o, 2);
   std::vector<Packet> batch;
   for (Cycle t = 0; t < 60000; ++t) {
     batch.clear();
@@ -90,7 +90,7 @@ TEST(Controller, HotterMeansMoreErrors) {
   SyntheticTraffic::Options o;
   o.injection_rate = 0.15;
   o.total_packets = 0;
-  SyntheticTraffic gen(MeshTopology(cfg4()), o, 2);
+  SyntheticTraffic gen(Grid(cfg4()), o, 2);
   std::vector<Packet> batch;
   for (Cycle t = 0; t < 60000; ++t) {
     batch.clear();
@@ -112,7 +112,7 @@ TEST(Controller, FeaturesReflectTraffic) {
   SyntheticTraffic::Options o;
   o.injection_rate = 0.12;
   o.total_packets = 0;
-  SyntheticTraffic gen(MeshTopology(cfg4()), o, 4);
+  SyntheticTraffic gen(Grid(cfg4()), o, 4);
   std::vector<Packet> batch;
   for (Cycle t = 0; t < 20000; ++t) {
     batch.clear();
@@ -135,7 +135,7 @@ TEST(Controller, RewardIsFiniteAndPositive) {
   SyntheticTraffic::Options o;
   o.injection_rate = 0.1;
   o.total_packets = 0;
-  SyntheticTraffic gen(MeshTopology(cfg4()), o, 6);
+  SyntheticTraffic gen(Grid(cfg4()), o, 6);
   std::vector<Packet> batch;
   for (Cycle t = 0; t < 10000; ++t) {
     batch.clear();

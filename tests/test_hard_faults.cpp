@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "noc/network.h"
@@ -208,10 +210,18 @@ TEST(DorRouting, FaultedXyMatchesReferenceExceptSeveredPairs) {
     }
     EXPECT_GT(severed, 0);
 
-    const Topology copy = t;
+    // A moved-to Topology keeps the fault masks and the faulted routes.
+    std::vector<std::uint8_t> routes;
     for (NodeId src = 0; src < t.num_nodes(); ++src)
       for (NodeId dst = 0; dst < t.num_nodes(); ++dst)
-        ASSERT_EQ(copy.route_raw(src, dst), t.route_raw(src, dst));
+        routes.push_back(t.route_raw(src, dst));
+    const Topology moved = std::move(t);
+    EXPECT_FALSE(moved.link_alive(a, Port::kEast));
+    EXPECT_EQ(moved.num_dead_links(), 1);
+    std::size_t k = 0;
+    for (NodeId src = 0; src < moved.num_nodes(); ++src)
+      for (NodeId dst = 0; dst < moved.num_nodes(); ++dst)
+        ASSERT_EQ(moved.route_raw(src, dst), routes[k++]) << src << " -> " << dst;
   }
 }
 
@@ -257,7 +267,7 @@ SimResult run_uniform(const SimOptions& opt, std::uint64_t packets = 1500) {
   SyntheticTraffic::Options o;
   o.injection_rate = 0.05;
   o.total_packets = packets;
-  SyntheticTraffic gen(MeshTopology(opt.noc), o, opt.seed);
+  SyntheticTraffic gen(Grid(opt.noc), o, opt.seed);
   return sim.run(gen);
 }
 

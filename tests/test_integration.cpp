@@ -31,7 +31,7 @@ void pump(Network& net, std::uint64_t packets, Cycle guard, std::uint64_t seed =
   SyntheticTraffic::Options o;
   o.injection_rate = 0.06;
   o.total_packets = packets;
-  SyntheticTraffic gen(MeshTopology(net.config()), o, seed);
+  SyntheticTraffic gen(Grid(net.config()), o, seed);
   std::vector<Packet> batch;
   const Cycle end = net.now() + guard;
   while (net.now() < end && (!gen.exhausted() || !net.drained())) {
@@ -146,7 +146,7 @@ TEST(Integration, ArqEccBeatsCrcUnderHighErrors) {
     SyntheticTraffic::Options o;
     o.injection_rate = 0.06;
     o.total_packets = 1500;
-    SyntheticTraffic gen(MeshTopology(cfg4()), o, 5);
+    SyntheticTraffic gen(Grid(cfg4()), o, 5);
     std::vector<Packet> batch;
     while (!gen.exhausted() || !net.drained()) {
       batch.clear();
@@ -167,7 +167,7 @@ TEST(Integration, RelaxedModeBeatsEccUnderExtremeErrors) {
     SyntheticTraffic::Options o;
     o.injection_rate = 0.04;
     o.total_packets = 800;
-    SyntheticTraffic gen(MeshTopology(cfg4()), o, 5);
+    SyntheticTraffic gen(Grid(cfg4()), o, 5);
     std::vector<Packet> batch;
     while (!gen.exhausted() || !net.drained()) {
       batch.clear();

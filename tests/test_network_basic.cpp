@@ -119,7 +119,7 @@ TEST(NetworkBasic, SustainedLoadDeliversEverythingAndDrains) {
   SyntheticTraffic::Options o;
   o.injection_rate = 0.10;
   o.total_packets = 3000;
-  SyntheticTraffic gen(MeshTopology(net.config()), o, 3);
+  SyntheticTraffic gen(Grid(net.config()), o, 3);
   std::vector<Packet> batch;
   while (!gen.exhausted() || !net.drained()) {
     batch.clear();
@@ -137,7 +137,7 @@ TEST(NetworkBasic, NoSpuriousRetransmissionsWithoutFaults) {
   SyntheticTraffic::Options o;
   o.injection_rate = 0.15;
   o.total_packets = 2000;
-  SyntheticTraffic gen(MeshTopology(net.config()), o, 5);
+  SyntheticTraffic gen(Grid(net.config()), o, 5);
   std::vector<Packet> batch;
   for (Cycle t = 0; t < 40000 && !(gen.exhausted() && net.drained()); ++t) {
     batch.clear();
@@ -155,7 +155,7 @@ TEST(NetworkBasic, DeterministicAcrossRuns) {
     SyntheticTraffic::Options o;
     o.injection_rate = 0.08;
     o.total_packets = 500;
-    SyntheticTraffic gen(MeshTopology(net.config()), o, 99);
+    SyntheticTraffic gen(Grid(net.config()), o, 99);
     std::vector<Packet> batch;
     while (!gen.exhausted() || !net.drained()) {
       batch.clear();
@@ -172,7 +172,7 @@ TEST(NetworkBasic, DeterministicAcrossRuns) {
 
 TEST(NetworkBasic, ChannelWiringConsistency) {
   Network net(small_cfg(), 1);
-  const MeshTopology& t = net.topology();
+  const Topology& t = net.topology();
   for (NodeId n = 0; n < net.config().num_nodes(); ++n) {
     for (const Port p : kAllPorts) {
       if (p == Port::kLocal) {

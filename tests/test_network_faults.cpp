@@ -37,7 +37,7 @@ void drive(Network& net, int packets, Cycle max_cycles, std::uint64_t seed = 3) 
   SyntheticTraffic::Options o;
   o.injection_rate = 0.06;
   o.total_packets = static_cast<std::uint64_t>(packets);
-  SyntheticTraffic gen(MeshTopology(net.config()), o, seed);
+  SyntheticTraffic gen(Grid(net.config()), o, seed);
   std::vector<Packet> batch;
   const Cycle end = net.now() + max_cycles;
   while (net.now() < end && (!gen.exhausted() || !net.drained())) {
@@ -175,7 +175,7 @@ TEST(FaultModes, ModeSwitchMidTrafficStaysCorrect) {
   SyntheticTraffic::Options o;
   o.injection_rate = 0.08;
   o.total_packets = 2000;
-  SyntheticTraffic gen(MeshTopology(net.config()), o, 9);
+  SyntheticTraffic gen(Grid(net.config()), o, 9);
   std::vector<Packet> batch;
   Rng mode_rng(123);
   while (!gen.exhausted() || !net.drained()) {

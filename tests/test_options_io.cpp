@@ -147,6 +147,9 @@ TEST(OptionsIo, RetiredKeysThrowNamingTheirReplacement) {
   const std::string step = message_for("step_cycles", "250");
   EXPECT_NE(step.find("'step_cycles'"), std::string::npos) << step;
   EXPECT_NE(step.find("use ctrl.step_cycles"), std::string::npos) << step;
+  const std::string len = message_for("noc.flits_per_packet", "8");
+  EXPECT_NE(len.find("'noc.flits_per_packet'"), std::string::npos) << len;
+  EXPECT_NE(len.find("per-transfer len"), std::string::npos) << len;
 }
 
 TEST(OptionsIo, InvalidStructuralValueThrows) {
@@ -173,7 +176,7 @@ TEST(OptionsIo, ConfiguredOptionsRunEndToEnd) {
   SyntheticTraffic::Options o;
   o.injection_rate = 0.08;
   o.total_packets = 1500;
-  SyntheticTraffic gen(MeshTopology(opt.noc), o, opt.seed);
+  SyntheticTraffic gen(Grid(opt.noc), o, opt.seed);
   const SimResult r = sim.run(gen);
   EXPECT_TRUE(r.drained);
   EXPECT_EQ(r.policy, "ARQ+ECC");

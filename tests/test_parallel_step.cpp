@@ -24,6 +24,9 @@
 namespace rlftnoc {
 namespace {
 
+/// Table II data packets: 4 flits.
+constexpr int kPacketLen = 4;
+
 NocConfig small_mesh() {
   NocConfig cfg;
   cfg.mesh_width = 4;
@@ -102,7 +105,7 @@ std::unique_ptr<Network> run_fault_heavy(unsigned sim_threads,
         traffic_rng.next_u64() % static_cast<std::uint64_t>(cfg.num_nodes()));
     if (src == dst) continue;
     net->ni(src).enqueue_packet(make_packet(next_id++, src, dst,
-                                            cfg.flits_per_packet, 0,
+                                            kPacketLen, 0,
                                             net->payload_rng()));
   }
 
@@ -272,7 +275,7 @@ std::unique_ptr<Network> run_lookahead_engineered(unsigned sim_threads,
           traffic_rng.next_u64() % static_cast<std::uint64_t>(cfg.num_nodes()));
       if (src == dst) continue;
       net->ni(src).enqueue_packet(make_packet(next_id++, src, dst,
-                                              cfg.flits_per_packet, 0,
+                                              kPacketLen, 0,
                                               net->payload_rng()));
     }
   };
@@ -343,7 +346,7 @@ TEST(ParallelStep, TorusRunBitIdenticalAcrossShardCounts) {
           static_cast<std::uint64_t>(cfg.num_nodes()));
       if (src == dst) continue;
       net->ni(src).enqueue_packet(make_packet(next_id++, src, dst,
-                                              cfg.flits_per_packet, 0,
+                                              kPacketLen, 0,
                                               net->payload_rng()));
     }
     for (Cycle c = 0; c < 20000 && !net->drained(); ++c) net->step();
@@ -386,7 +389,7 @@ TEST(ParallelStep, FaultHeavyMode2AuditsCleanEveryCycleThreaded) {
         traffic_rng.next_u64() % static_cast<std::uint64_t>(cfg.num_nodes()));
     if (src == dst) continue;
     net.ni(src).enqueue_packet(make_packet(next_id++, src, dst,
-                                           cfg.flits_per_packet, 0,
+                                           kPacketLen, 0,
                                            net.payload_rng()));
   }
 
@@ -418,7 +421,6 @@ struct EjectedFlit {
 std::unique_ptr<Network> run_at_field_limits(unsigned sim_threads,
                                              std::vector<EjectedFlit>& ejected) {
   NocConfig cfg = small_mesh();
-  cfg.flits_per_packet = kMaxFlitsPerPacket;
   cfg.vcs_per_port = kMaxVcsPerPort;
   cfg.validate();
   auto net = std::make_unique<Network>(cfg, /*seed=*/37);
@@ -445,7 +447,7 @@ std::unique_ptr<Network> run_at_field_limits(unsigned sim_threads,
                                       static_cast<std::uint64_t>(cfg.num_nodes()));
     if (src == dst) continue;
     net->ni(src).enqueue_packet(make_packet(next_id++, src, dst,
-                                            cfg.flits_per_packet, 0,
+                                            kMaxFlitsPerPacket, 0,
                                             net->payload_rng()));
   }
 
@@ -543,7 +545,7 @@ TEST(ParallelStep, AuditedFaultHeavySweepHoldsInvariant6WithSingleMerge) {
           static_cast<std::uint64_t>(cfg.num_nodes()));
       if (src == dst) continue;
       net->ni(src).enqueue_packet(make_packet(next_id++, src, dst,
-                                              cfg.flits_per_packet, 0,
+                                              kPacketLen, 0,
                                               net->payload_rng()));
     }
 
@@ -626,7 +628,7 @@ TEST(ParallelStep, SimulatorResultsBitIdenticalAcrossThreadCounts) {
   SimResult serial;
   {
     Simulator sim(sim_base(1));
-    SyntheticTraffic gen(MeshTopology(small_mesh()), sim_traffic(), 13);
+    SyntheticTraffic gen(Grid(small_mesh()), sim_traffic(), 13);
     serial = sim.run(gen);
   }
   EXPECT_TRUE(serial.drained);
@@ -637,7 +639,7 @@ TEST(ParallelStep, SimulatorResultsBitIdenticalAcrossThreadCounts) {
     SCOPED_TRACE("sim_threads=" + std::to_string(t));
     Simulator sim(sim_base(t));
     EXPECT_EQ(sim.network().shard_count(), static_cast<std::size_t>(t));
-    SyntheticTraffic gen(MeshTopology(small_mesh()), sim_traffic(), 13);
+    SyntheticTraffic gen(Grid(small_mesh()), sim_traffic(), 13);
     const SimResult threaded = sim.run(gen);
     expect_results_identical(serial, threaded);
   }
@@ -668,7 +670,7 @@ TEST(ParallelStep, TelemetryExportBytesIdenticalAcrossThreadCounts) {
     opt.telemetry.out_dir = d.string();
     opt.telemetry.metrics_interval = 500;
     Simulator sim(opt);
-    SyntheticTraffic gen(MeshTopology(small_mesh()), sim_traffic(), 13);
+    SyntheticTraffic gen(Grid(small_mesh()), sim_traffic(), 13);
     const SimResult res = sim.run(gen);
     EXPECT_GT(res.packets_delivered, 0u);
   };
@@ -700,7 +702,7 @@ TEST(ParallelStep, SimulatorAuditsCleanWithThreadsAndFaults) {
   opt.audit = true;
   Simulator sim(opt);
   ASSERT_NE(sim.auditor(), nullptr);
-  SyntheticTraffic gen(MeshTopology(small_mesh()), sim_traffic(), 13);
+  SyntheticTraffic gen(Grid(small_mesh()), sim_traffic(), 13);
   SimResult res;
   ASSERT_NO_THROW(res = sim.run(gen));
   EXPECT_TRUE(res.drained);

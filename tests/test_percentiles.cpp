@@ -18,7 +18,7 @@ TEST(Percentiles, OrderedAndNearMean) {
   SyntheticTraffic::Options o;
   o.injection_rate = 0.08;
   o.total_packets = 5000;
-  SyntheticTraffic gen(MeshTopology(opt.noc), o, 3);
+  SyntheticTraffic gen(Grid(opt.noc), o, 3);
   const SimResult r = sim.run(gen);
   ASSERT_TRUE(r.drained);
   EXPECT_GT(r.p50_latency, 0.0);
@@ -43,7 +43,7 @@ TEST(Percentiles, TailGrowsUnderFaults) {
     SyntheticTraffic::Options o;
     o.injection_rate = 0.06;
     o.total_packets = 4000;
-    SyntheticTraffic gen(MeshTopology(opt.noc), o, 5);
+    SyntheticTraffic gen(Grid(opt.noc), o, 5);
     return sim.run(gen);
   };
   const SimResult clean = run(0.0);

@@ -12,7 +12,12 @@
 namespace rlftnoc {
 namespace {
 
-const MeshTopology kTopo(6, 6);
+/// A fault-free 6x6 mesh whose routes `alg` built.
+Topology mesh6(RoutingAlgorithm alg) {
+  return Topology(TopologyKind::kMesh, 6, 6, alg);
+}
+
+const Topology kWestFirst6 = mesh6(RoutingAlgorithm::kWestFirst);
 
 TEST(Routing, NameRoundTrip) {
   for (const RoutingAlgorithm a :
@@ -26,35 +31,32 @@ TEST(Routing, SelfRouteIsLocal) {
   std::array<Port, 2> cand{};
   for (const RoutingAlgorithm a :
        {RoutingAlgorithm::kXY, RoutingAlgorithm::kYX, RoutingAlgorithm::kWestFirst}) {
-    EXPECT_EQ(route_candidates(a, kTopo, 7, 7, cand), 1);
+    EXPECT_EQ(route_candidates(mesh6(a), 7, 7, cand), 1);
     EXPECT_EQ(cand[0], Port::kLocal);
   }
 }
 
 TEST(Routing, YxRoutesYFirst) {
+  const Topology t = mesh6(RoutingAlgorithm::kYX);
   std::array<Port, 2> cand{};
-  ASSERT_EQ(route_candidates(RoutingAlgorithm::kYX, kTopo, kTopo.node(0, 0),
-                             kTopo.node(3, 4), cand),
-            1);
+  ASSERT_EQ(route_candidates(t, t.node(0, 0), t.node(3, 4), cand), 1);
   EXPECT_EQ(cand[0], Port::kNorth);
-  ASSERT_EQ(route_candidates(RoutingAlgorithm::kYX, kTopo, kTopo.node(0, 4),
-                             kTopo.node(3, 4), cand),
-            1);
+  ASSERT_EQ(route_candidates(t, t.node(0, 4), t.node(3, 4), cand), 1);
   EXPECT_EQ(cand[0], Port::kEast);
 }
 
 TEST(Routing, WestFirstForcesWestward) {
   std::array<Port, 2> cand{};
-  ASSERT_EQ(route_candidates(RoutingAlgorithm::kWestFirst, kTopo, kTopo.node(4, 1),
-                             kTopo.node(1, 4), cand),
+  ASSERT_EQ(route_candidates(kWestFirst6, kWestFirst6.node(4, 1),
+                             kWestFirst6.node(1, 4), cand),
             1);
   EXPECT_EQ(cand[0], Port::kWest);
 }
 
 TEST(Routing, WestFirstOffersTwoCandidatesWhenDiagonalEast) {
   std::array<Port, 2> cand{};
-  const int n = route_candidates(RoutingAlgorithm::kWestFirst, kTopo,
-                                 kTopo.node(1, 1), kTopo.node(4, 4), cand);
+  const int n = route_candidates(kWestFirst6, kWestFirst6.node(1, 1),
+                                 kWestFirst6.node(4, 4), cand);
   ASSERT_EQ(n, 2);
   EXPECT_EQ(cand[0], Port::kEast);
   EXPECT_EQ(cand[1], Port::kNorth);
@@ -65,17 +67,18 @@ TEST(Routing, WestFirstOffersTwoCandidatesWhenDiagonalEast) {
 class RoutingMinimality : public ::testing::TestWithParam<RoutingAlgorithm> {};
 
 TEST_P(RoutingMinimality, AllCandidatesAreMinimal) {
+  const Topology t = mesh6(GetParam());
   std::array<Port, 2> cand{};
-  for (NodeId src = 0; src < kTopo.num_nodes(); ++src) {
-    for (NodeId dst = 0; dst < kTopo.num_nodes(); ++dst) {
+  for (NodeId src = 0; src < t.num_nodes(); ++src) {
+    for (NodeId dst = 0; dst < t.num_nodes(); ++dst) {
       if (src == dst) continue;
-      const int n = route_candidates(GetParam(), kTopo, src, dst, cand);
+      const int n = route_candidates(t, src, dst, cand);
       ASSERT_GE(n, 1);
       for (int k = 0; k < n; ++k) {
-        const NodeId next = kTopo.neighbor(src, cand[static_cast<std::size_t>(k)]);
+        const NodeId next = t.neighbor(src, cand[static_cast<std::size_t>(k)]);
         ASSERT_NE(next, kInvalidNode);
         // Every candidate must reduce the distance by exactly one.
-        EXPECT_EQ(kTopo.distance(next, dst), kTopo.distance(src, dst) - 1);
+        EXPECT_EQ(t.distance(next, dst), t.distance(src, dst) - 1);
       }
     }
   }
@@ -94,10 +97,11 @@ TEST(Routing, WestFirstNeverTurnsIntoWest) {
   // never needs a westward hop — i.e. candidates never include West unless
   // the destination column is west of the current column.
   std::array<Port, 2> cand{};
-  for (NodeId src = 0; src < kTopo.num_nodes(); ++src) {
-    for (NodeId dst = 0; dst < kTopo.num_nodes(); ++dst) {
-      const int n = route_candidates(RoutingAlgorithm::kWestFirst, kTopo, src, dst, cand);
-      const bool dst_is_west = kTopo.coord(dst).x < kTopo.coord(src).x;
+  const Topology& t = kWestFirst6;
+  for (NodeId src = 0; src < t.num_nodes(); ++src) {
+    for (NodeId dst = 0; dst < t.num_nodes(); ++dst) {
+      const int n = route_candidates(t, src, dst, cand);
+      const bool dst_is_west = t.coord(dst).x < t.coord(src).x;
       for (int k = 0; k < n; ++k) {
         if (cand[static_cast<std::size_t>(k)] == Port::kWest) {
           EXPECT_TRUE(dst_is_west);
@@ -128,7 +132,7 @@ TEST_P(RoutingNetworkSweep, DeliversUnderLoadAndFaults) {
   SyntheticTraffic::Options o;
   o.injection_rate = 0.10;
   o.total_packets = 3000;
-  SyntheticTraffic gen(MeshTopology(cfg), o, 5);
+  SyntheticTraffic gen(Grid(cfg), o, 5);
   std::vector<Packet> batch;
   while (!gen.exhausted() || !net.drained()) {
     batch.clear();
@@ -161,7 +165,7 @@ TEST(Routing, WestFirstAvoidsCongestedCandidate) {
     o.pattern = TrafficPattern::kTranspose;
     o.injection_rate = 0.20;
     o.total_packets = 12000;
-    SyntheticTraffic gen(MeshTopology(cfg), o, 5);
+    SyntheticTraffic gen(Grid(cfg), o, 5);
     std::vector<Packet> batch;
     while ((!gen.exhausted() || !net.drained()) && net.now() < 500000) {
       batch.clear();

@@ -26,7 +26,7 @@ SyntheticTraffic fast_workload(const SimOptions& opt, std::uint64_t packets = 40
   SyntheticTraffic::Options o;
   o.injection_rate = 0.08;
   o.total_packets = packets;
-  return SyntheticTraffic(MeshTopology(opt.noc), o, opt.seed);
+  return SyntheticTraffic(Grid(opt.noc), o, opt.seed);
 }
 
 /// Parameterized over all policy kinds: each runs end to end.
@@ -175,7 +175,7 @@ TEST(Simulator, ParsecWorkloadRuns) {
   ParsecProfile prof = parsec_profile("swaptions");
   prof.total_packets = 2000;
   Simulator sim(opt);
-  ParsecTraffic gen(MeshTopology(opt.noc), prof, opt.seed);
+  ParsecTraffic gen(Grid(opt.noc), prof, opt.seed);
   const SimResult r = sim.run(gen);
   EXPECT_TRUE(r.drained);
   EXPECT_EQ(r.workload, "swaptions");

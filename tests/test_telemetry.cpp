@@ -441,7 +441,7 @@ TEST(SimulatorTelemetry, DisabledRunCarriesNoCollectorAndWritesNothing) {
   SimOptions opt = tiny_sim(/*telemetry=*/false);
   Simulator sim(opt);
   EXPECT_EQ(sim.telemetry(), nullptr);
-  SyntheticTraffic traffic(MeshTopology(opt.noc), tiny_traffic(), opt.seed);
+  SyntheticTraffic traffic(Grid(opt.noc), tiny_traffic(), opt.seed);
   const SimResult res = sim.run(traffic);
   EXPECT_GT(res.packets_delivered, 0u);
   EXPECT_TRUE(sim.telemetry_files().empty());
@@ -455,7 +455,7 @@ TEST(SimulatorTelemetry, TracedRunExportsLoadableFileSet) {
 
   Simulator sim(opt);
   ASSERT_NE(sim.telemetry(), nullptr);
-  SyntheticTraffic traffic(MeshTopology(opt.noc), tiny_traffic(), opt.seed);
+  SyntheticTraffic traffic(Grid(opt.noc), tiny_traffic(), opt.seed);
   const SimResult res = sim.run(traffic);
   EXPECT_GT(res.packets_delivered, 0u);
 

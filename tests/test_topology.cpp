@@ -5,22 +5,30 @@
 #include <array>
 #include <stdexcept>
 #include <tuple>
+#include <type_traits>
 #include <vector>
-
-#include "noc/routing.h"
 
 namespace rlftnoc {
 namespace {
 
+// Route tables have one owner: a Topology can be moved, never copied.
+static_assert(!std::is_copy_constructible_v<Topology>);
+static_assert(!std::is_copy_assignable_v<Topology>);
+
+/// A fault-free W x H mesh with xy routes.
+Topology xy_mesh(int w, int h) {
+  return Topology(TopologyKind::kMesh, w, h, RoutingAlgorithm::kXY);
+}
+
 TEST(Topology, CoordNodeRoundTrip) {
-  const MeshTopology t(8, 8);
+  const Grid t(TopologyKind::kMesh, 8, 8);
   for (NodeId n = 0; n < t.num_nodes(); ++n) {
     EXPECT_EQ(t.node(t.coord(n)), n);
   }
 }
 
 TEST(Topology, CoordLayoutRowMajor) {
-  const MeshTopology t(4, 3);
+  const Grid t(TopologyKind::kMesh, 4, 3);
   EXPECT_EQ(t.node(0, 0), 0);
   EXPECT_EQ(t.node(3, 0), 3);
   EXPECT_EQ(t.node(0, 1), 4);
@@ -29,7 +37,7 @@ TEST(Topology, CoordLayoutRowMajor) {
 }
 
 TEST(Topology, NeighborsInterior) {
-  const MeshTopology t(4, 4);
+  const Topology t = xy_mesh(4, 4);
   const NodeId n = t.node(1, 1);  // 5
   EXPECT_EQ(t.neighbor(n, Port::kNorth), t.node(1, 2));
   EXPECT_EQ(t.neighbor(n, Port::kSouth), t.node(1, 0));
@@ -39,7 +47,7 @@ TEST(Topology, NeighborsInterior) {
 }
 
 TEST(Topology, NeighborsAtEdges) {
-  const MeshTopology t(4, 4);
+  const Topology t = xy_mesh(4, 4);
   EXPECT_EQ(t.neighbor(t.node(0, 0), Port::kWest), kInvalidNode);
   EXPECT_EQ(t.neighbor(t.node(0, 0), Port::kSouth), kInvalidNode);
   EXPECT_EQ(t.neighbor(t.node(3, 3), Port::kEast), kInvalidNode);
@@ -47,7 +55,7 @@ TEST(Topology, NeighborsAtEdges) {
 }
 
 TEST(Topology, NeighborSymmetry) {
-  const MeshTopology t(5, 3);
+  const Topology t = xy_mesh(5, 3);
   for (NodeId n = 0; n < t.num_nodes(); ++n) {
     for (const Port p : kAllPorts) {
       if (p == Port::kLocal) continue;
@@ -60,21 +68,21 @@ TEST(Topology, NeighborSymmetry) {
 }
 
 TEST(Topology, DistanceProperties) {
-  const MeshTopology t(8, 8);
+  const Grid t(TopologyKind::kMesh, 8, 8);
   EXPECT_EQ(t.distance(0, 0), 0);
   EXPECT_EQ(t.distance(t.node(0, 0), t.node(7, 7)), 14);
   EXPECT_EQ(t.distance(3, 12), t.distance(12, 3));  // symmetric
 }
 
 TEST(Topology, RouteToSelfIsLocal) {
-  const MeshTopology t(4, 4);
+  const Topology t = xy_mesh(4, 4);
   for (NodeId n = 0; n < t.num_nodes(); ++n) {
     EXPECT_EQ(t.route(n, n), Port::kLocal);
   }
 }
 
 TEST(Topology, XyRoutesXFirst) {
-  const MeshTopology t(4, 4);
+  const Topology t = xy_mesh(4, 4);
   // From (0,0) to (2,3): must go East until x matches.
   EXPECT_EQ(t.route(t.node(0, 0), t.node(2, 3)), Port::kEast);
   EXPECT_EQ(t.route(t.node(2, 0), t.node(2, 3)), Port::kNorth);
@@ -89,7 +97,7 @@ class XyRouteSweep
 
 TEST_P(XyRouteSweep, ReachesDestinationMinimally) {
   const auto [w, h] = GetParam();
-  const MeshTopology t(w, h);
+  const Topology t = xy_mesh(w, h);
   for (NodeId src = 0; src < t.num_nodes(); ++src) {
     for (NodeId dst = 0; dst < t.num_nodes(); ++dst) {
       NodeId cur = src;
@@ -114,19 +122,19 @@ INSTANTIATE_TEST_SUITE_P(MeshSizes, XyRouteSweep,
                                            std::make_tuple(5, 3)));
 
 TEST(Topology, DegenerateDimensionsThrow) {
-  EXPECT_THROW(MeshTopology(0, 4), std::invalid_argument);
-  EXPECT_THROW(MeshTopology(4, 0), std::invalid_argument);
-  EXPECT_THROW(MeshTopology(-1, 4), std::invalid_argument);
-  EXPECT_THROW(MeshTopology(4, -3), std::invalid_argument);
+  EXPECT_THROW(Grid(TopologyKind::kMesh, 0, 4), std::invalid_argument);
+  EXPECT_THROW(Grid(TopologyKind::kMesh, 4, 0), std::invalid_argument);
+  EXPECT_THROW(Grid(TopologyKind::kMesh, -1, 4), std::invalid_argument);
+  EXPECT_THROW(Grid(TopologyKind::kMesh, 4, -3), std::invalid_argument);
   // A torus needs both dimensions >= 2: wrap links would otherwise
   // self-loop (neighbor(n, E) == n on a 1-wide ring).
+  EXPECT_THROW(Grid(TopologyKind::kTorus, 1, 4), std::invalid_argument);
+  EXPECT_THROW(Grid(TopologyKind::kTorus, 4, 1), std::invalid_argument);
+  // Topology validates through Grid before building any table.
   EXPECT_THROW(
       Topology(TopologyKind::kTorus, 1, 4, RoutingAlgorithm::kAdaptive),
       std::invalid_argument);
-  EXPECT_THROW(
-      Topology(TopologyKind::kTorus, 4, 1, RoutingAlgorithm::kAdaptive),
-      std::invalid_argument);
-  EXPECT_NO_THROW(MeshTopology(1, 1));  // a single-node mesh is legal
+  EXPECT_NO_THROW(Grid(TopologyKind::kMesh, 1, 1));  // a single-node mesh is legal
   EXPECT_NO_THROW(
       Topology(TopologyKind::kTorus, 2, 2, RoutingAlgorithm::kAdaptive));
 }
@@ -138,21 +146,24 @@ TEST(Topology, TorusWrapNeighbors) {
   EXPECT_EQ(t.neighbor(t.node(1, 0), Port::kSouth), t.node(1, 2));
   EXPECT_EQ(t.neighbor(t.node(1, 2), Port::kNorth), t.node(1, 0));
   // Wrap-link detection marks exactly the dateline crossings.
-  EXPECT_TRUE(t.wrap_link(t.node(3, 0), Port::kEast));
-  EXPECT_TRUE(t.wrap_link(t.node(0, 0), Port::kWest));
-  EXPECT_FALSE(t.wrap_link(t.node(1, 1), Port::kEast));
-  EXPECT_FALSE(t.wrap_link(t.node(0, 0), Port::kLocal));
+  const Grid g(TopologyKind::kTorus, 4, 3);
+  EXPECT_TRUE(g.wrap_link(g.node(3, 0), Port::kEast));
+  EXPECT_TRUE(g.wrap_link(g.node(0, 0), Port::kWest));
+  EXPECT_TRUE(g.wrap_link(g.node(1, 2), Port::kNorth));
+  EXPECT_TRUE(g.wrap_link(g.node(1, 0), Port::kSouth));
+  EXPECT_FALSE(g.wrap_link(g.node(1, 1), Port::kEast));
+  EXPECT_FALSE(g.wrap_link(g.node(0, 0), Port::kLocal));
 }
 
 TEST(Topology, MeshHasNoWrapLinks) {
-  const MeshTopology t(4, 4);
+  const Grid t(TopologyKind::kMesh, 4, 4);
   for (NodeId n = 0; n < t.num_nodes(); ++n) {
     for (const Port p : kAllPorts) EXPECT_FALSE(t.wrap_link(n, p));
   }
 }
 
 TEST(Topology, TorusDistanceUsesWrap) {
-  const Topology t(TopologyKind::kTorus, 8, 8, RoutingAlgorithm::kXY);
+  const Grid t(TopologyKind::kTorus, 8, 8);
   EXPECT_EQ(t.distance(t.node(0, 0), t.node(7, 0)), 1);  // wrap W
   EXPECT_EQ(t.distance(t.node(0, 0), t.node(0, 7)), 1);  // wrap S
   EXPECT_EQ(t.distance(t.node(0, 0), t.node(4, 4)), 8);  // both ways tie
@@ -194,7 +205,7 @@ INSTANTIATE_TEST_SUITE_P(TorusSizes, TorusRouteSweep,
 /// definition rather than from the topology's tables: move along the first
 /// dimension (in order) whose coordinate differs; on a torus take the ring
 /// direction with fewer hops, ties going East/North.
-Port reference_dor(const Topology& t, NodeId cur, NodeId dst, bool x_first) {
+Port reference_dor(const Grid& t, NodeId cur, NodeId dst, bool x_first) {
   const bool torus = t.kind() == TopologyKind::kTorus;
   const auto step = [torus](int c, int d, int size, Port up, Port down) {
     if (!torus) return c < d ? up : down;
@@ -229,9 +240,7 @@ std::vector<Topology> dor_topologies(int w, int h) {
 }
 
 /// route_raw() of a fault-free dimension-ordered topology matches the
-/// coordinate reference for every pair, and so does route_candidates() for
-/// an algorithm other than the topology's own (an adaptive topology still
-/// answers xy and yx structurally).
+/// coordinate reference for every pair.
 class DorRouteReference
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -251,26 +260,6 @@ TEST_P(DorRouteReference, EveryPairMatchesCoordinateReference) {
   }
 }
 
-TEST_P(DorRouteReference, OtherAlgorithmsRouteStructurally) {
-  const auto [w, h] = GetParam();
-  for (const TopologyKind kind : {TopologyKind::kMesh, TopologyKind::kTorus}) {
-    if (kind == TopologyKind::kTorus && (w < 2 || h < 2)) continue;
-    const Topology t(kind, w, h, RoutingAlgorithm::kAdaptive);
-    for (const RoutingAlgorithm alg :
-         {RoutingAlgorithm::kXY, RoutingAlgorithm::kYX}) {
-      for (NodeId cur = 0; cur < t.num_nodes(); ++cur) {
-        for (NodeId dst = 0; dst < t.num_nodes(); ++dst) {
-          std::array<Port, 2> cand{};
-          ASSERT_EQ(route_candidates(alg, t, cur, dst, cand), 1);
-          ASSERT_EQ(cand[0], reference_dor(t, cur, dst,
-                                           alg == RoutingAlgorithm::kXY))
-              << cur << " -> " << dst;
-        }
-      }
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Shapes, DorRouteReference,
                          ::testing::Values(std::make_tuple(1, 1),
                                            std::make_tuple(1, 6),
@@ -283,7 +272,7 @@ INSTANTIATE_TEST_SUITE_P(Shapes, DorRouteReference,
 TEST(Topology, FaultFree256MeshRoutesWithoutPairTable) {
   // A per-pair table would be 4 GiB here; the per-dimension tables are
   // 128 KiB, so construction is cheap and every pair is still answered.
-  const MeshTopology t(256, 256);
+  const Topology t = xy_mesh(256, 256);
   const std::array<std::tuple<int, int, int, int>, 6> pairs = {{
       {0, 0, 255, 255}, {255, 255, 0, 0}, {17, 200, 17, 3},
       {128, 5, 9, 5}, {40, 40, 40, 40}, {255, 0, 0, 255}}};
@@ -308,7 +297,7 @@ using TopologyDeathTest = ::testing::Test;
 TEST(TopologyDeathTest, RouteRejectsOutOfRangeNodes) {
   // Out-of-range ids (including kInvalidNode) are a caller bug: route()
   // must refuse loudly instead of indexing a route table out of bounds.
-  const MeshTopology t(4, 4);
+  const Topology t = xy_mesh(4, 4);
   EXPECT_DEATH(t.route(kInvalidNode, 0), "RLFTNOC_CHECK failed");
   EXPECT_DEATH(t.route(0, t.num_nodes()), "RLFTNOC_CHECK failed");
   EXPECT_DEATH(t.route(-2, 3), "RLFTNOC_CHECK failed");

@@ -18,39 +18,39 @@
 namespace rlftnoc {
 namespace {
 
-const MeshTopology kTopo(8, 8);
+const Grid kGrid(TopologyKind::kMesh, 8, 8);
 
 TEST(Patterns, TransposeIsInvolution) {
-  for (NodeId n = 0; n < kTopo.num_nodes(); ++n) {
-    const NodeId d = pattern_destination(TrafficPattern::kTranspose, n, kTopo);
-    EXPECT_EQ(pattern_destination(TrafficPattern::kTranspose, d, kTopo), n);
+  for (NodeId n = 0; n < kGrid.num_nodes(); ++n) {
+    const NodeId d = pattern_destination(TrafficPattern::kTranspose, n, kGrid);
+    EXPECT_EQ(pattern_destination(TrafficPattern::kTranspose, d, kGrid), n);
   }
 }
 
 TEST(Patterns, BitComplementIsInvolution) {
-  for (NodeId n = 0; n < kTopo.num_nodes(); ++n) {
-    const NodeId d = pattern_destination(TrafficPattern::kBitComplement, n, kTopo);
+  for (NodeId n = 0; n < kGrid.num_nodes(); ++n) {
+    const NodeId d = pattern_destination(TrafficPattern::kBitComplement, n, kGrid);
     ASSERT_GE(d, 0);
-    ASSERT_LT(d, kTopo.num_nodes());
-    EXPECT_EQ(pattern_destination(TrafficPattern::kBitComplement, d, kTopo), n);
+    ASSERT_LT(d, kGrid.num_nodes());
+    EXPECT_EQ(pattern_destination(TrafficPattern::kBitComplement, d, kGrid), n);
   }
 }
 
 TEST(Patterns, TornadoHalfWidthShift) {
-  const NodeId d = pattern_destination(TrafficPattern::kTornado, kTopo.node(0, 3), kTopo);
-  EXPECT_EQ(d, kTopo.node(3, 3));
+  const NodeId d = pattern_destination(TrafficPattern::kTornado, kGrid.node(0, 3), kGrid);
+  EXPECT_EQ(d, kGrid.node(3, 3));
 }
 
 TEST(Patterns, NeighborWraps) {
-  EXPECT_EQ(pattern_destination(TrafficPattern::kNeighbor, kTopo.node(7, 2), kTopo),
-            kTopo.node(0, 2));
+  EXPECT_EQ(pattern_destination(TrafficPattern::kNeighbor, kGrid.node(7, 2), kGrid),
+            kGrid.node(0, 2));
 }
 
 TEST(Patterns, BitReverseStaysInRange) {
-  for (NodeId n = 0; n < kTopo.num_nodes(); ++n) {
-    const NodeId d = pattern_destination(TrafficPattern::kBitReverse, n, kTopo);
+  for (NodeId n = 0; n < kGrid.num_nodes(); ++n) {
+    const NodeId d = pattern_destination(TrafficPattern::kBitReverse, n, kGrid);
     EXPECT_GE(d, 0);
-    EXPECT_LT(d, kTopo.num_nodes());
+    EXPECT_LT(d, kGrid.num_nodes());
   }
 }
 
@@ -72,7 +72,7 @@ TEST(SyntheticTraffic, RespectsPacketBudget) {
   SyntheticTraffic::Options o;
   o.injection_rate = 0.5;
   o.total_packets = 100;
-  SyntheticTraffic gen(kTopo, o, 1);
+  SyntheticTraffic gen(kGrid, o, 1);
   std::vector<Packet> out;
   for (Cycle t = 0; t < 1000 && !gen.exhausted(); ++t) gen.tick(t, out);
   EXPECT_TRUE(gen.exhausted());
@@ -85,13 +85,13 @@ TEST(SyntheticTraffic, InjectionRateApproximatelyMet) {
   o.injection_rate = 0.08;
   o.packet_len = 4;
   o.total_packets = 0;  // unlimited
-  SyntheticTraffic gen(kTopo, o, 2);
+  SyntheticTraffic gen(kGrid, o, 2);
   std::vector<Packet> out;
   const Cycle cycles = 20000;
   for (Cycle t = 0; t < cycles; ++t) gen.tick(t, out);
   std::uint64_t flits = 0;
   for (const Packet& p : out) flits += p.flits.size();
-  const double rate = static_cast<double>(flits) / cycles / kTopo.num_nodes();
+  const double rate = static_cast<double>(flits) / cycles / kGrid.num_nodes();
   EXPECT_NEAR(rate, 0.08, 0.008);
 }
 
@@ -99,7 +99,7 @@ TEST(SyntheticTraffic, NoSelfPackets) {
   SyntheticTraffic::Options o;
   o.injection_rate = 0.3;
   o.total_packets = 2000;
-  SyntheticTraffic gen(kTopo, o, 3);
+  SyntheticTraffic gen(kGrid, o, 3);
   std::vector<Packet> out;
   for (Cycle t = 0; t < 2000 && !gen.exhausted(); ++t) gen.tick(t, out);
   for (const Packet& p : out) EXPECT_NE(p.src, p.dst);
@@ -111,12 +111,12 @@ TEST(SyntheticTraffic, HotspotConcentratesTraffic) {
   o.injection_rate = 0.2;
   o.hotspot_fraction = 0.5;
   o.total_packets = 5000;
-  SyntheticTraffic gen(kTopo, o, 4);
+  SyntheticTraffic gen(kGrid, o, 4);
   std::vector<Packet> out;
   for (Cycle t = 0; t < 10000 && !gen.exhausted(); ++t) gen.tick(t, out);
   std::uint64_t to_hot = 0;
-  const auto hot = std::vector<NodeId>{kTopo.node(4, 4), kTopo.node(3, 4),
-                                       kTopo.node(4, 3), kTopo.node(3, 3)};
+  const auto hot = std::vector<NodeId>{kGrid.node(4, 4), kGrid.node(3, 4),
+                                       kGrid.node(4, 3), kGrid.node(3, 3)};
   for (const Packet& p : out) {
     for (const NodeId h : hot) {
       if (p.dst == h) {
@@ -133,8 +133,8 @@ TEST(SyntheticTraffic, DeterministicBySeed) {
   SyntheticTraffic::Options o;
   o.injection_rate = 0.1;
   o.total_packets = 200;
-  SyntheticTraffic a(kTopo, o, 5);
-  SyntheticTraffic b(kTopo, o, 5);
+  SyntheticTraffic a(kGrid, o, 5);
+  SyntheticTraffic b(kGrid, o, 5);
   std::vector<Packet> va;
   std::vector<Packet> vb;
   for (Cycle t = 0; t < 1000; ++t) {
@@ -167,23 +167,23 @@ TEST(Parsec, LookupByName) {
 TEST(Parsec, MeanRateApproximatelyMet) {
   ParsecProfile prof = parsec_profile("ferret");
   prof.total_packets = 0xFFFFFFFF;  // effectively unlimited
-  ParsecTraffic gen(kTopo, prof, 6);
+  ParsecTraffic gen(kGrid, prof, 6);
   std::vector<Packet> out;
   const Cycle cycles = 60000;
   for (Cycle t = 0; t < cycles; ++t) gen.tick(t, out);
   std::uint64_t flits = 0;
   for (const Packet& p : out) flits += p.flits.size();
-  const double rate = static_cast<double>(flits) / cycles / kTopo.num_nodes();
+  const double rate = static_cast<double>(flits) / cycles / kGrid.num_nodes();
   EXPECT_NEAR(rate, prof.injection_rate, prof.injection_rate * 0.25);
 }
 
 TEST(Parsec, McTrafficConcentration) {
   ParsecProfile prof = parsec_profile("canneal");
   prof.total_packets = 20000;
-  ParsecTraffic gen(kTopo, prof, 7);
+  ParsecTraffic gen(kGrid, prof, 7);
   std::vector<Packet> out;
   for (Cycle t = 0; t < 100000 && !gen.exhausted(); ++t) gen.tick(t, out);
-  const auto mcs = default_mc_nodes(kTopo);
+  const auto mcs = default_mc_nodes(kGrid);
   std::uint64_t to_mc = 0;
   for (const Packet& p : out) {
     for (const NodeId mc : mcs) {
@@ -200,7 +200,7 @@ TEST(Parsec, McTrafficConcentration) {
 TEST(Parsec, MixedPacketLengths) {
   ParsecProfile prof = parsec_profile("dedup");
   prof.total_packets = 5000;
-  ParsecTraffic gen(kTopo, prof, 8);
+  ParsecTraffic gen(kGrid, prof, 8);
   std::vector<Packet> out;
   for (Cycle t = 0; t < 100000 && !gen.exhausted(); ++t) gen.tick(t, out);
   std::uint64_t shorts = 0;
@@ -223,13 +223,13 @@ TEST(Parsec, MixedPacketLengths) {
 
 class UngatedParsecReference {
  public:
-  UngatedParsecReference(const MeshTopology& topo, ParsecProfile profile,
+  UngatedParsecReference(const Grid& grid, ParsecProfile profile,
                          std::uint64_t seed)
-      : topo_(topo),
+      : grid_(grid),
         profile_(std::move(profile)),
         rng_(seed, "parsec:" + profile_.name),
-        bursting_(static_cast<std::size_t>(topo.num_nodes()), false),
-        mc_nodes_(default_mc_nodes(topo)) {}
+        bursting_(static_cast<std::size_t>(grid.num_nodes()), false),
+        mc_nodes_(default_mc_nodes(grid)) {}
 
   bool exhausted() const { return generated_ >= profile_.total_packets; }
 
@@ -242,7 +242,7 @@ class UngatedParsecReference {
     const double avg_len =
         profile_.short_packet_fraction * 1.0 +
         (1.0 - profile_.short_packet_fraction) * profile_.data_packet_len;
-    for (NodeId src = 0; src < topo_.num_nodes(); ++src) {
+    for (NodeId src = 0; src < grid_.num_nodes(); ++src) {
       if (exhausted()) break;
       const auto idx = static_cast<std::size_t>(src);
       if (bursting_[idx]) {
@@ -267,21 +267,21 @@ class UngatedParsecReference {
     if (rng_.bernoulli(profile_.mc_fraction)) {
       NodeId best = mc_nodes_.front();
       for (const NodeId mc : mc_nodes_) {
-        if (topo_.distance(src, mc) < topo_.distance(src, best)) best = mc;
+        if (grid_.distance(src, mc) < grid_.distance(src, best)) best = mc;
       }
       if (best != src) return best;
     }
     if (rng_.bernoulli(profile_.locality)) {
       std::vector<NodeId> nearby;
-      const Coord c = topo_.coord(src);
+      const Coord c = grid_.coord(src);
       const int r = profile_.locality_radius;
       for (int dy = -r; dy <= r; ++dy) {
         for (int dx = -r; dx <= r; ++dx) {
           if (std::abs(dx) + std::abs(dy) > r) continue;
           const int x = c.x + dx;
           const int y = c.y + dy;
-          if (x < 0 || x >= topo_.width() || y < 0 || y >= topo_.height()) continue;
-          const NodeId cand = topo_.node(x, y);
+          if (x < 0 || x >= grid_.width() || y < 0 || y >= grid_.height()) continue;
+          const NodeId cand = grid_.node(x, y);
           if (cand != src) nearby.push_back(cand);
         }
       }
@@ -290,11 +290,11 @@ class UngatedParsecReference {
     NodeId dst = src;
     while (dst == src)
       dst = static_cast<NodeId>(
-          rng_.next_below(static_cast<std::uint64_t>(topo_.num_nodes())));
+          rng_.next_below(static_cast<std::uint64_t>(grid_.num_nodes())));
     return dst;
   }
 
-  MeshTopology topo_;
+  Grid grid_;
   ParsecProfile profile_;
   Rng rng_;
   std::vector<bool> bursting_;
@@ -305,22 +305,22 @@ class UngatedParsecReference {
 
 class UngatedPretrainReference {
  public:
-  UngatedPretrainReference(const MeshTopology& topo, std::uint64_t seed)
-      : topo_(topo), rng_(seed, "pretrain") {}
+  UngatedPretrainReference(const Grid& grid, std::uint64_t seed)
+      : grid_(grid), rng_(seed, "pretrain") {}
 
   void tick(Cycle now, std::vector<Packet>& out) {
     const std::size_t level =
         static_cast<std::size_t>(now / period_) % levels_.size();
     const double p = levels_[level] / packet_len_;
     const bool hotspot_half = (now / (period_ / 2)) % 2 == 1;
-    const int w = topo_.width();
-    const int h = topo_.height();
+    const int w = grid_.width();
+    const int h = grid_.height();
     const std::array<NodeId, 4> hot = {
-        topo_.node(std::min(1, w - 1), std::min(1, h - 1)),
-        topo_.node(std::max(w - 2, 0), std::min(1, h - 1)),
-        topo_.node(std::min(1, w - 1), std::max(h - 2, 0)),
-        topo_.node(std::max(w - 2, 0), std::max(h - 2, 0))};
-    for (NodeId src = 0; src < topo_.num_nodes(); ++src) {
+        grid_.node(std::min(1, w - 1), std::min(1, h - 1)),
+        grid_.node(std::max(w - 2, 0), std::min(1, h - 1)),
+        grid_.node(std::min(1, w - 1), std::max(h - 2, 0)),
+        grid_.node(std::max(w - 2, 0), std::max(h - 2, 0))};
+    for (NodeId src = 0; src < grid_.num_nodes(); ++src) {
       if (!rng_.bernoulli(p)) continue;
       NodeId dst = src;
       if (hotspot_half && rng_.bernoulli(0.45)) {
@@ -329,14 +329,14 @@ class UngatedPretrainReference {
       } else {
         while (dst == src)
           dst = static_cast<NodeId>(
-              rng_.next_below(static_cast<std::uint64_t>(topo_.num_nodes())));
+              rng_.next_below(static_cast<std::uint64_t>(grid_.num_nodes())));
       }
       out.push_back(make_packet(next_id_++, src, dst, packet_len_, now, rng_));
     }
   }
 
  private:
-  MeshTopology topo_;
+  Grid grid_;
   Rng rng_;
   // The PretrainTraffic defaults (traffic.h).
   std::vector<double> levels_ = {0.02, 0.04, 0.07, 0.10};
@@ -363,8 +363,8 @@ void expect_same_packets(const std::vector<Packet>& got,
 TEST(GatedTick, ParsecMatchesUngatedDrawForDraw) {
   ParsecProfile prof = parsec_profile("canneal");
   prof.total_packets = 12000;
-  ParsecTraffic gen(kTopo, prof, 11);
-  UngatedParsecReference ref(kTopo, prof, 11);
+  ParsecTraffic gen(kGrid, prof, 11);
+  UngatedParsecReference ref(kGrid, prof, 11);
   std::vector<Packet> got, want;
   for (Cycle t = 0; t < 200000 && !gen.exhausted(); ++t) {
     gen.tick(t, got);
@@ -377,9 +377,9 @@ TEST(GatedTick, ParsecMatchesUngatedDrawForDraw) {
 
 TEST(GatedTick, PretrainMatchesUngatedDrawForDraw) {
   // Four levels x 20K cycles: every rate level and both hotspot halves.
-  const MeshTopology topo(4, 4);
-  PretrainTraffic gen(topo, 12);
-  UngatedPretrainReference ref(topo, 12);
+  const Grid grid(TopologyKind::kMesh, 4, 4);
+  PretrainTraffic gen(grid, 12);
+  UngatedPretrainReference ref(grid, 12);
   std::vector<Packet> got, want;
   for (Cycle t = 0; t < 80000; ++t) {
     gen.tick(t, got);

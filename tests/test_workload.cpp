@@ -362,19 +362,19 @@ TEST(WorkloadGenerators, BuiltinsValidateAndAreDeterministic) {
   NocConfig noc;
   noc.mesh_width = 8;
   noc.mesh_height = 8;
-  const MeshTopology topo(noc);
+  const Grid grid(noc);
   for (const char* name : {"dnn", "rpc", "nackstorm"}) {
     SCOPED_TRACE(name);
     ASSERT_TRUE(is_builtin_workload(name));
-    const Workload a = make_builtin_workload(name, topo, Config{}, 7);
-    EXPECT_NO_THROW(validate_workload(a, topo.num_nodes()));
+    const Workload a = make_builtin_workload(name, grid, Config{}, 7);
+    EXPECT_NO_THROW(validate_workload(a, grid.num_nodes()));
     EXPECT_FALSE(a.transfers.empty());
     // Pure function of (topology, options, seed): byte-identical rebuild.
-    const Workload b = make_builtin_workload(name, topo, Config{}, 7);
+    const Workload b = make_builtin_workload(name, grid, Config{}, 7);
     EXPECT_EQ(workload_to_json(a), workload_to_json(b));
   }
   EXPECT_FALSE(is_builtin_workload("uniform"));
-  EXPECT_THROW(make_builtin_workload("nope", topo, Config{}, 7),
+  EXPECT_THROW(make_builtin_workload("nope", grid, Config{}, 7),
                WorkloadError);
 }
 
@@ -512,7 +512,7 @@ TEST(WorkloadRecord, RecorderDoesNotPerturbTheRun) {
   SimResult plain;
   {
     Simulator sim(mesh8_options());
-    SyntheticTraffic gen(MeshTopology(mesh8_options().noc), mesh8_traffic(),
+    SyntheticTraffic gen(Grid(mesh8_options().noc), mesh8_traffic(),
                          17);
     plain = sim.run(gen);
   }
@@ -521,7 +521,7 @@ TEST(WorkloadRecord, RecorderDoesNotPerturbTheRun) {
       (std::filesystem::path(testing::TempDir()) / "wl_noperturb.json")
           .string();
   Simulator sim(opt);
-  SyntheticTraffic gen(MeshTopology(opt.noc), mesh8_traffic(), 17);
+  SyntheticTraffic gen(Grid(opt.noc), mesh8_traffic(), 17);
   const SimResult recorded = sim.run(gen);
   expect_results_identical(plain, recorded);
 }
@@ -534,7 +534,7 @@ TEST(WorkloadRecord, RecordThenReplayReproducesSimResult) {
     SimOptions opt = mesh8_options();
     opt.record_workload = path;
     Simulator sim(opt);
-    SyntheticTraffic gen(MeshTopology(opt.noc), mesh8_traffic(), 17);
+    SyntheticTraffic gen(Grid(opt.noc), mesh8_traffic(), 17);
     original = sim.run(gen);
   }
   ASSERT_TRUE(original.drained);
@@ -563,7 +563,7 @@ TEST(WorkloadRecord, RecorderOutputBytesAreDeterministic) {
     SimOptions opt = mesh8_options();
     opt.record_workload = path;
     Simulator sim(opt);
-    SyntheticTraffic gen(MeshTopology(opt.noc), mesh8_traffic(), 17);
+    SyntheticTraffic gen(Grid(opt.noc), mesh8_traffic(), 17);
     sim.run(gen);
   };
   const auto dir = std::filesystem::path(testing::TempDir());
@@ -584,8 +584,8 @@ TEST(WorkloadReplay, BitIdenticalAcrossSimThreads) {
   NocConfig noc;
   noc.mesh_width = 8;
   noc.mesh_height = 8;
-  const MeshTopology topo(noc);
-  const Workload wl = make_builtin_workload("dnn", topo, Config{}, 17);
+  const Grid grid(noc);
+  const Workload wl = make_builtin_workload("dnn", grid, Config{}, 17);
 
   const auto run_threads = [&](unsigned threads,
                                const std::string& telemetry_dir) {
@@ -596,7 +596,7 @@ TEST(WorkloadReplay, BitIdenticalAcrossSimThreads) {
       opt.telemetry.metrics_interval = 200;
     }
     Simulator sim(opt);
-    WorkloadReplayTraffic replay(wl, topo.num_nodes(), opt.seed);
+    WorkloadReplayTraffic replay(wl, grid.num_nodes(), opt.seed);
     return sim.run(replay);
   };
 
